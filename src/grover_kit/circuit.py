@@ -44,6 +44,19 @@ from grover_kit.statevector import (
 MAX_DENSE_QUBITS = 10
 
 
+class SpecError(ValueError):
+    """A GroverSpec field fails validation; `field` names the offending attribute."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
+        self.field = field
+
+
+def _check_index(q) -> None:
+    if isinstance(q, bool) or not isinstance(q, (int, np.integer)) or q < 0:
+        raise IndexError(f"qubit index must be a non-negative integer, got {q!r}")
+
+
 @dataclass(frozen=True)
 class Single:
     """One H, X or Z gate on a single qubit."""
@@ -54,8 +67,7 @@ class Single:
     def __post_init__(self):
         if self.kind not in ("H", "X", "Z"):
             raise ValueError(f"unknown single-qubit gate {self.kind!r}, expected H, X or Z")
-        if not isinstance(self.target, (int, np.integer)) or self.target < 0:
-            raise IndexError(f"target must be a non-negative qubit index, got {self.target!r}")
+        _check_index(self.target)
 
     @property
     def qubits(self) -> tuple[int, ...]:
@@ -79,8 +91,7 @@ class MultiControlled:
         if len(set(self.controls)) != len(self.controls):
             raise ValueError(f"duplicate control qubits in {self.controls}")
         for q in (*self.controls, self.target):
-            if not isinstance(q, (int, np.integer)) or q < 0:
-                raise IndexError(f"qubit index must be a non-negative integer, got {q!r}")
+            _check_index(q)
         if self.target in self.controls:
             raise ValueError(f"target {self.target} also listed as a control")
 
@@ -134,24 +145,26 @@ class GroverSpec:
 
     def __post_init__(self):
         if not 1 <= self.n_qubits <= MAX_QUBITS:
-            raise ValueError(f"n_qubits must be in 1..{MAX_QUBITS}, got {self.n_qubits}")
+            raise SpecError("n_qubits", f"n_qubits must be in 1..{MAX_QUBITS}, got {self.n_qubits}")
         marked = tuple(self.marked) if not isinstance(self.marked, str) else (self.marked,)
         for bits in marked:
             if len(bits) != self.n_qubits or any(ch not in "01" for ch in bits):
-                raise ValueError(
-                    f"marked string {bits!r} is not a bitstring of length {self.n_qubits}"
+                raise SpecError(
+                    "marked", f"marked string {bits!r} is not a bitstring of length {self.n_qubits}"
                 )
         if len(set(marked)) != len(marked):
-            raise ValueError(f"duplicate marked strings in {marked}")
+            raise SpecError("marked", f"duplicate marked strings in {marked}")
         if not 1 <= len(marked) < (1 << self.n_qubits):
-            raise ValueError(
-                f"need between 1 and 2^n - 1 marked strings, got {len(marked)} for n={self.n_qubits}"
-            )
+            count = f"got {len(marked)} for n={self.n_qubits}"
+            raise SpecError("marked", f"need between 1 and 2^n - 1 marked strings, {count}")
         object.__setattr__(self, "marked", tuple(sorted(marked, key=lambda b: int(b, 2))))
         if not isinstance(self.style, OracleStyle):
-            raise ValueError(f"style must be an OracleStyle, got {self.style!r}")
-        if self.iterations < 0:
-            raise ValueError(f"iterations must be >= 0, got {self.iterations}")
+            raise SpecError("style", f"style must be an OracleStyle, got {self.style!r}")
+        k = self.iterations
+        if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 0:
+            raise SpecError("iterations", f"iterations must be an integer >= 0, got {k!r}")
+        if k >= 1 and self.n_qubits < 2:
+            raise SpecError("n_qubits", "amplification needs at least 2 data qubits")
 
     @property
     def n_marked(self) -> int:
@@ -164,8 +177,63 @@ class GroverSpec:
         return self.n_qubits + extra
 
 
-def _zero_positions(bits: str) -> list[int]:
-    return [q for q, ch in enumerate(bits) if ch == "0"]
+Labelled = tuple[tuple[str, GateOp], ...]
+
+
+def _grover_blocks(spec: GroverSpec) -> tuple[Labelled, Labelled]:
+    """The Grover gate sequence as (preparation, one oracle-plus-diffuser block).
+
+    This is the only place that constructs Grover ops. The full circuit is
+    the preparation followed by ``spec.iterations`` copies of the block; the
+    ops are frozen, so every copy shares the same op objects, and the oracle,
+    diffuser and iteration circuits are slices of the block.
+
+    Label scheme (toolkit step numbering): step 1 is register preparation
+    ("1.0" the ancilla bit flip when present, "1.1" the H layer over every
+    wire), step 2 the oracle, step 3 the diffuser. Within step 2 the
+    per-marked-string sandwich is "2.1[bits]" (X flips), "2.2[bits]"
+    (controlled gate), "2.3[bits]" (X flips undone). Step 3 is "3.1" H
+    layer, "3.2" X layer, "3.3" MCZ, "3.4" X layer, "3.5" H layer. In the
+    full circuit the block labels carry the 1-based iteration as a prefix,
+    e.g. "k2 3.4". Runs of ops sharing a label are the natural snapshot
+    boundaries for traces.
+
+    One data qubit leaves no room for a controlled gate, so the block is
+    empty then; GroverSpec already refuses iterations >= 1 for it.
+    """
+    n = spec.n_qubits
+    ancilla = spec.style is OracleStyle.MCX_ANCILLA
+    prep = (("1.0", Single("X", n)),) if ancilla else ()
+    prep += tuple(("1.1", Single("H", q)) for q in range(spec.circuit_qubits))
+    if n < 2:
+        return prep, ()
+    reflect = MultiControlled("Z", tuple(range(n - 1)), n - 1)
+    phase = MultiControlled("X", tuple(range(n)), n) if ancilla else reflect
+    block: list[tuple[str, GateOp]] = []
+    for bits in spec.marked:
+        flips = [Single("X", q) for q, ch in enumerate(bits) if ch == "0"]
+        block += [(f"2.1[{bits}]", op) for op in flips]
+        block.append((f"2.2[{bits}]", phase))
+        block += [(f"2.3[{bits}]", op) for op in flips]
+    h_layer = [Single("H", q) for q in range(n)]
+    x_layer = [Single("X", q) for q in range(n)]
+    for label, layer in (
+        ("3.1", h_layer), ("3.2", x_layer), ("3.3", [reflect]), ("3.4", x_layer), ("3.5", h_layer)
+    ):
+        block += [(label, op) for op in layer]
+    return prep, tuple(block)
+
+
+def _ops(labelled: Labelled, step: str = "") -> tuple[GateOp, ...]:
+    """The ops of `labelled` whose label starts with `step`."""
+    return tuple(op for label, op in labelled if label.startswith(step))
+
+
+def _iteration_block(spec: GroverSpec) -> Labelled:
+    _, block = _grover_blocks(spec)
+    if not block:
+        raise ValueError("a Grover iteration needs at least 2 data qubits")
+    return block
 
 
 def compile_phase_oracle(
@@ -178,18 +246,7 @@ def compile_phase_oracle(
     preparation; see build_grover_circuit for that.
     """
     spec = GroverSpec(n_qubits, tuple(marked), iterations=0, style=style)
-    if style is OracleStyle.MCZ_DIRECT and n_qubits < 2:
-        raise ValueError("mcz style needs at least 2 qubits (one control plus the target)")
-    ops: list[GateOp] = []
-    for bits in spec.marked:
-        flips = _zero_positions(bits)
-        ops.extend(Single("X", q) for q in flips)
-        if style is OracleStyle.MCZ_DIRECT:
-            ops.append(MultiControlled("Z", tuple(range(n_qubits - 1)), n_qubits - 1))
-        else:
-            ops.append(MultiControlled("X", tuple(range(n_qubits)), n_qubits))
-        ops.extend(Single("X", q) for q in flips)
-    return Circuit(spec.circuit_qubits, tuple(ops))
+    return Circuit(spec.circuit_qubits, _ops(_iteration_block(spec), "2."))
 
 
 def compile_diffuser(n_qubits: int) -> Circuit:
@@ -198,88 +255,40 @@ def compile_diffuser(n_qubits: int) -> Circuit:
     The gate sequence H-layer, X-layer, MCZ, X-layer, H-layer equals
     -(2|u><u| - Id) exactly, u the uniform superposition on n_qubits.
     """
-    if n_qubits < 2:
-        raise ValueError(f"diffuser needs at least 2 qubits, got {n_qubits}")
-    ops: list[GateOp] = []
-    ops.extend(Single("H", q) for q in range(n_qubits))
-    ops.extend(Single("X", q) for q in range(n_qubits))
-    ops.append(MultiControlled("Z", tuple(range(n_qubits - 1)), n_qubits - 1))
-    ops.extend(Single("X", q) for q in range(n_qubits))
-    ops.extend(Single("H", q) for q in range(n_qubits))
-    return Circuit(n_qubits, tuple(ops))
+    spec = GroverSpec(n_qubits, ("0" * n_qubits,), iterations=0)
+    return Circuit(n_qubits, _ops(_iteration_block(spec), "3."))
 
 
 def grover_iteration(spec: GroverSpec) -> Circuit:
     """One oracle-plus-diffuser block spanning ``spec.circuit_qubits`` wires."""
-    oracle = compile_phase_oracle(spec.n_qubits, spec.marked, spec.style)
-    diffuser = compile_diffuser(spec.n_qubits)
-    return Circuit(spec.circuit_qubits, oracle.ops + diffuser.ops)
-
-
-def _build_with_labels(spec: GroverSpec) -> tuple[Circuit, tuple[str, ...]]:
-    """Full Grover circuit plus one step label per op.
-
-    Label scheme (toolkit step numbering): step 1 is register preparation
-    ("1.0" the ancilla bit flip when present, "1.1" the H layer over every
-    wire), step 2 the oracle, step 3 the diffuser. Oracle and diffuser
-    labels carry the 1-based iteration, e.g. "k2 3.4". Within step 2 the
-    per-marked-string sandwich is "2.1[bits]" (X flips), "2.2[bits]"
-    (controlled gate), "2.3[bits]" (X flips undone). Runs of ops sharing a
-    label are the natural snapshot boundaries for traces.
-    """
-    if spec.iterations >= 1 and spec.n_qubits < 2:
-        raise ValueError("amplification needs at least 2 data qubits")
-    ops: list[GateOp] = []
-    labels: list[str] = []
-    ancilla = spec.style is OracleStyle.MCX_ANCILLA
-    width = spec.circuit_qubits
-    if ancilla:
-        ops.append(Single("X", spec.n_qubits))
-        labels.append("1.0")
-    for q in range(width):
-        ops.append(Single("H", q))
-        labels.append("1.1")
-    for it in range(1, spec.iterations + 1):
-        for bits in spec.marked:
-            flips = _zero_positions(bits)
-            for q in flips:
-                ops.append(Single("X", q))
-                labels.append(f"k{it} 2.1[{bits}]")
-            if ancilla:
-                ops.append(MultiControlled("X", tuple(range(spec.n_qubits)), spec.n_qubits))
-            else:
-                ops.append(MultiControlled("Z", tuple(range(spec.n_qubits - 1)), spec.n_qubits - 1))
-            labels.append(f"k{it} 2.2[{bits}]")
-            for q in flips:
-                ops.append(Single("X", q))
-                labels.append(f"k{it} 2.3[{bits}]")
-        for q in range(spec.n_qubits):
-            ops.append(Single("H", q))
-            labels.append(f"k{it} 3.1")
-        for q in range(spec.n_qubits):
-            ops.append(Single("X", q))
-            labels.append(f"k{it} 3.2")
-        ops.append(MultiControlled("Z", tuple(range(spec.n_qubits - 1)), spec.n_qubits - 1))
-        labels.append(f"k{it} 3.3")
-        for q in range(spec.n_qubits):
-            ops.append(Single("X", q))
-            labels.append(f"k{it} 3.4")
-        for q in range(spec.n_qubits):
-            ops.append(Single("H", q))
-            labels.append(f"k{it} 3.5")
-    return Circuit(width, tuple(ops)), tuple(labels)
+    return Circuit(spec.circuit_qubits, _ops(_iteration_block(spec)))
 
 
 def build_grover_circuit(spec: GroverSpec) -> Circuit:
     """Preparation, then `spec.iterations` oracle-plus-diffuser blocks."""
-    circuit, _ = _build_with_labels(spec)
-    return circuit
+    prep, block = _grover_blocks(spec)
+    return Circuit(spec.circuit_qubits, _ops(prep) + _ops(block) * spec.iterations)
 
 
 def grover_step_labels(spec: GroverSpec) -> tuple[str, ...]:
     """Step label for each op of build_grover_circuit(spec), same order."""
-    _, labels = _build_with_labels(spec)
-    return labels
+    prep, block = _grover_blocks(spec)
+    labels = tuple(label for label, _ in prep)
+    return labels + tuple(
+        f"k{it} {label}" for it in range(1, spec.iterations + 1) for label, _ in block
+    )
+
+
+def _apply(amps: np.ndarray, n_qubits: int, op: GateOp) -> None:
+    """Apply one op in place; `amps` may carry trailing batch axes.
+
+    The kernels are looked up as module globals on every call, so a wrapper
+    installed on them from outside sees every op.
+    """
+    if isinstance(op, Single):
+        _apply_single_inplace(amps, n_qubits, op.kind, op.target)
+    else:
+        _apply_multicontrolled_inplace(amps, n_qubits, op.base, op.controls, op.target)
 
 
 def run(
@@ -302,10 +311,7 @@ def run(
     amps = initial.amps.copy()
     snapshots: list[StateVector] = []
     for op in circuit.ops:
-        if isinstance(op, Single):
-            _apply_single_inplace(amps, circuit.n_qubits, op.kind, op.target)
-        else:
-            _apply_multicontrolled_inplace(amps, circuit.n_qubits, op.base, op.controls, op.target)
+        _apply(amps, circuit.n_qubits, op)
         if trace:
             snapshots.append(StateVector(circuit.n_qubits, amps, copy=True))
     final = StateVector(circuit.n_qubits, amps, copy=False)
@@ -320,19 +326,9 @@ def dense_unitary(circuit: Circuit) -> np.ndarray:
         raise ValueError(
             f"dense matrix limited to {MAX_DENSE_QUBITS} qubits, circuit has {circuit.n_qubits}"
         )
-    dim = 1 << circuit.n_qubits
-    out = np.empty((dim, dim), dtype=np.complex128)
-    for col in range(dim):
-        amps = np.zeros(dim, dtype=np.complex128)
-        amps[col] = 1.0
-        for op in circuit.ops:
-            if isinstance(op, Single):
-                _apply_single_inplace(amps, circuit.n_qubits, op.kind, op.target)
-            else:
-                _apply_multicontrolled_inplace(
-                    amps, circuit.n_qubits, op.base, op.controls, op.target
-                )
-        out[:, col] = amps
+    out = np.eye(1 << circuit.n_qubits, dtype=np.complex128)
+    for op in circuit.ops:
+        _apply(out, circuit.n_qubits, op)
     return out
 
 
@@ -354,14 +350,11 @@ def circuit_to_text(circuit: Circuit) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_qubit(token: str, lineno: int) -> int:
+def _parse_qubit(token: str) -> int:
     try:
-        value = int(token)
+        return int(token)
     except ValueError:
-        raise ValueError(f"line {lineno}: expected a qubit index, got {token!r}") from None
-    if value < 0:
-        raise ValueError(f"line {lineno}: qubit index must be >= 0, got {value}")
-    return value
+        raise ValueError(f"expected a qubit index, got {token!r}") from None
 
 
 def circuit_from_text(text: str) -> Circuit:
@@ -383,31 +376,21 @@ def circuit_from_text(text: str) -> Circuit:
                 raise ValueError(f"line {lineno}: bad qubit count in {comment!r}") from None
         if not line:
             continue
-        tokens = line.split()
-        mnemonic = tokens[0]
-        if mnemonic in ("H", "X", "Z"):
-            if len(tokens) != 2:
-                raise ValueError(f"line {lineno}: {mnemonic} takes exactly one qubit index")
-            op: GateOp = Single(mnemonic, _parse_qubit(tokens[1], lineno))
-        elif mnemonic in ("MCX", "MCZ"):
-            if len(tokens) != 3 or not tokens[1].startswith("c=") or not tokens[2].startswith("t="):
-                raise ValueError(
-                    f"line {lineno}: expected '{mnemonic} c=<q,q,...> t=<q>', got {line!r}"
-                )
-            controls = tuple(
-                _parse_qubit(part, lineno) for part in tokens[1][2:].split(",") if part != ""
-            )
-            if not controls:
-                raise ValueError(f"line {lineno}: {mnemonic} needs at least one control")
-            target = _parse_qubit(tokens[2][2:], lineno)
-            try:
-                op = MultiControlled(mnemonic[2:], controls, target)
-            except ValueError as exc:
-                raise ValueError(f"line {lineno}: {exc}") from None
-        else:
-            raise ValueError(
-                f"line {lineno}: unknown gate {mnemonic!r}, expected H, X, Z, MCX or MCZ"
-            )
+        mnemonic, *args = line.split()
+        try:
+            if mnemonic in ("H", "X", "Z"):
+                if len(args) != 1:
+                    raise ValueError(f"{mnemonic} takes exactly one qubit index")
+                op: GateOp = Single(mnemonic, _parse_qubit(args[0]))
+            elif mnemonic in ("MCX", "MCZ"):
+                if len(args) != 2 or not args[0].startswith("c=") or not args[1].startswith("t="):
+                    raise ValueError(f"expected '{mnemonic} c=<q,q,...> t=<q>', got {line!r}")
+                controls = tuple(_parse_qubit(q) for q in args[0][2:].split(",") if q)
+                op = MultiControlled(mnemonic[2:], controls, _parse_qubit(args[1][2:]))
+            else:
+                raise ValueError(f"unknown gate {mnemonic!r}, expected H, X, Z, MCX or MCZ")
+        except (ValueError, IndexError) as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
         max_index = max(max_index, *op.qubits)
         ops.append(op)
     if declared_width is None:

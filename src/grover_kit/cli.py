@@ -22,14 +22,20 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import os
 import sys
+from dataclasses import replace
+from typing import Iterable, NamedTuple
+
+import numpy as np
 
 from grover_kit import __version__
 from grover_kit.circuit import (
     GroverSpec,
     OracleStyle,
+    SpecError,
     build_grover_circuit,
     circuit_from_text,
     circuit_to_text,
@@ -38,6 +44,8 @@ from grover_kit.circuit import (
     run,
 )
 from grover_kit.geometry import (
+    MAX_REPORT_ITERATIONS,
+    data_state,
     grover_angles,
     iteration_report,
     oblique_coords,
@@ -46,7 +54,6 @@ from grover_kit.geometry import (
     plane_angle,
     plane_decompose,
     predicted_success,
-    strip_ancilla,
 )
 from grover_kit.sampling import MAX_SEED, measure_all
 from grover_kit.statevector import MAX_QUBITS, StateVector
@@ -56,10 +63,27 @@ SEED_ENV_VAR = "GROVER_KIT_SEED"
 AMPLITUDE_CUTOFF = 1e-12
 
 _STYLE_FLAGS = {"mcz": OracleStyle.MCZ_DIRECT, "mcx-ancilla": OracleStyle.MCX_ANCILLA}
+# GroverSpec field named by a SpecError -> the flag that supplied it.
+_SPEC_FLAGS = {"n_qubits": "--n", "marked": "--marked", "iterations": "--iterations"}
+_TRACE_COLUMNS = ["step", "label", "bitstring", "re", "im"]
+# Leaf names of nested summary keys in run's CSV; other nested keys prefix their leaves.
+_CSV_NAMES = {"p_per_marked": "p({})", "plane": "{}", "oblique": "{}"}
 
 
 class UsageError(Exception):
     """Bad flag value or inconsistent invocation; maps to exit code 2."""
+
+
+class Report(NamedTuple):
+    """One command's output, built once and printed by `_emit` in the chosen format.
+
+    `rows` and `lines` may be lazy: only the requested format is consumed.
+    """
+
+    doc: dict | None
+    columns: list[str]
+    rows: Iterable[list]
+    lines: Iterable[str]
 
 
 def _oriented(bits: str, bit_order: str) -> str:
@@ -67,27 +91,18 @@ def _oriented(bits: str, bit_order: str) -> str:
 
 
 def _validate_spec_args(args) -> GroverSpec:
-    bit_order = getattr(args, "bit_order", "msb")
-    if not 1 <= args.n <= MAX_QUBITS:
-        raise UsageError(f"--n: must be in 1..{MAX_QUBITS}, got {args.n}")
-    marked = []
-    for raw in args.marked:
-        bits = _oriented(raw, bit_order)
-        if len(bits) != args.n:
-            raise UsageError(f"--marked: {raw!r} has length {len(raw)}, expected n={args.n}")
-        if any(ch not in "01" for ch in bits):
-            raise UsageError(f"--marked: {raw!r} is not a string over 0 and 1")
-        marked.append(bits)
-    if len(set(marked)) != len(marked):
-        raise UsageError(f"--marked: duplicate strings in {args.marked}")
-    if len(marked) >= (1 << args.n):
-        raise UsageError("--marked: the whole space cannot be marked")
+    """The spec the flags describe, with marked strings in the internal msb-first order.
+
+    Validity does not depend on the bit order, so the strings are checked as
+    given and error messages quote them as typed.
+    """
     iterations = getattr(args, "iterations", 0)
-    if iterations < 0:
-        raise UsageError(f"--iterations: must be >= 0, got {iterations}")
-    if iterations >= 1 and args.n < 2:
-        raise UsageError("--n: amplification needs at least 2 data qubits")
-    return GroverSpec(args.n, tuple(marked), iterations, _STYLE_FLAGS[args.style])
+    try:
+        spec = GroverSpec(args.n, tuple(args.marked), iterations, _STYLE_FLAGS[args.style])
+    except SpecError as err:
+        raise UsageError(f"{_SPEC_FLAGS[err.field]}: {err}") from None
+    bit_order = getattr(args, "bit_order", "msb")
+    return replace(spec, marked=tuple(_oriented(bits, bit_order) for bits in spec.marked))
 
 
 def _spec_echo(spec: GroverSpec, args) -> dict:
@@ -100,13 +115,29 @@ def _spec_echo(spec: GroverSpec, args) -> dict:
     }
 
 
-def _document(command: str, spec_echo: dict, rows: list) -> dict:
+def _document(command: str, spec_echo: dict, rows: list, **extra) -> dict:
     return {
         "command": command,
         "versions": {"tool": __version__, "format": FORMAT_VERSION},
         "spec": spec_echo,
         "rows": rows,
+        **extra,
     }
+
+
+def _records_table(records: list[dict]) -> tuple[list[str], list[list]]:
+    """CSV columns and rows of flat records that all share the first one's keys."""
+    return list(records[0]), [list(record.values()) for record in records]
+
+
+def _flatten(mapping: dict, pattern: str = "{}") -> Iterable[tuple[str, object]]:
+    """(name, value) leaves of a nested summary, in order, named as in run's CSV."""
+    for key, value in mapping.items():
+        name = pattern.format(key)
+        if isinstance(value, dict):
+            yield from _flatten(value, _CSV_NAMES.get(key, name + "_{}"))
+        else:
+            yield name, value
 
 
 def _r(value: float, precision: int) -> float:
@@ -127,67 +158,53 @@ def _fmt_complex(z: complex, precision: int) -> str:
     return f"{_fmt(z.real, precision)}{z.imag:+.{precision}f}j"
 
 
-def _emit_csv(columns: list[str], rows: list[list]) -> None:
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(columns)
-    writer.writerows(rows)
+def _nonzero(values: np.ndarray, n_qubits: int, bit_order: str) -> list[tuple[str, object]]:
+    """(bitstring, value) of each entry whose magnitude is above the cutoff, in index order."""
+    keep = np.flatnonzero(np.abs(values) > AMPLITUDE_CUTOFF)
+    width = f"0{n_qubits}b"
+    bits = (_oriented(format(i, width), bit_order) for i in keep.tolist())
+    return list(zip(bits, values[keep].tolist()))
 
 
-def _state_entries(state: StateVector, precision: int, bit_order: str) -> list[dict]:
-    entries = []
-    for i, amp in enumerate(state.amps):
-        if abs(amp) <= AMPLITUDE_CUTOFF:
-            continue
-        bits = format(i, f"0{state.n_qubits}b")
-        entries.append(
-            {"bitstring": _oriented(bits, bit_order), **_complex_entry(complex(amp), precision)}
-        )
-    return entries
+def _simulate(circuit, labels, args) -> tuple[StateVector, list[dict] | None]:
+    """Run `circuit` on |0...0>; with --trace also one row per run of equal `labels()`."""
+    if not args.trace:
+        return run(circuit), None
+    final, snapshots = run(circuit, trace=True)
+    rows, first = [], 0
+    for step, (label, group) in enumerate(itertools.groupby(labels())):
+        last = first + sum(1 for _ in group) - 1
+        state = _nonzero(snapshots[last].amps, circuit.n_qubits, args.bit_order)
+        entries = [{"bitstring": b, **_complex_entry(z, args.precision)} for b, z in state]
+        rows.append({"step": step, "label": label, "ops": [first, last], "state": entries})
+        first = last + 1
+    return final, rows
 
 
-def _grouped_steps(labels: tuple[str, ...]) -> list[tuple[str, int, int]]:
-    """Runs of consecutive identical labels as (label, first_op, last_op)."""
-    groups: list[tuple[str, int, int]] = []
-    for i, label in enumerate(labels):
-        if groups and groups[-1][0] == label:
-            groups[-1] = (label, groups[-1][1], i)
-        else:
-            groups.append((label, i, i))
-    return groups
-
-
-def _trace_rows(
-    snapshots: list[StateVector], labels: tuple[str, ...], precision: int, bit_order: str
-) -> list[dict]:
-    rows = []
-    for step, (label, first, last) in enumerate(_grouped_steps(labels)):
-        rows.append(
-            {
-                "step": step,
-                "label": label,
-                "ops": [first, last],
-                "state": _state_entries(snapshots[last], precision, bit_order),
-            }
-        )
-    return rows
-
-
-def _print_trace_text(rows: list[dict], precision: int) -> None:
+def _trace_lines(rows: list[dict], precision: int) -> Iterable[str]:
     for row in rows:
         first, last = row["ops"]
         span = f"op {first}" if first == last else f"ops {first}..{last}"
-        print(f"step {row['step']}  [{row['label']}]  {span}")
+        yield f"step {row['step']}  [{row['label']}]  {span}"
         for entry in row["state"]:
             z = complex(entry["re"], entry["im"])
-            print(f"  |{entry['bitstring']}>  {_fmt_complex(z, precision)}")
+            yield f"  |{entry['bitstring']}>  {_fmt_complex(z, precision)}"
 
 
-def _trace_csv_rows(rows: list[dict]) -> list[list]:
-    out = []
-    for row in rows:
-        for entry in row["state"]:
-            out.append([row["step"], row["label"], entry["bitstring"], entry["re"], entry["im"]])
-    return out
+def _with_trace(report: Report, trace_rows: list[dict] | None, summary, precision: int) -> Report:
+    """A traced run's report: the step rows, with the untraced records under "summary"."""
+    if trace_rows is None:
+        return report
+    return Report(
+        {**report.doc, "rows": trace_rows, "summary": summary},
+        _TRACE_COLUMNS,
+        (
+            [row["step"], row["label"], entry["bitstring"], entry["re"], entry["im"]]
+            for row in trace_rows
+            for entry in row["state"]
+        ),
+        itertools.chain(report.lines, [""], _trace_lines(trace_rows, precision)),
+    )
 
 
 def _resolve_seed(args) -> int:
@@ -208,25 +225,16 @@ def _resolve_seed(args) -> int:
     return seed
 
 
-def _final_data_state(spec: GroverSpec, trace: bool):
-    """Simulate the compiled circuit; returns (data_state, trace_snapshots)."""
-    circuit = build_grover_circuit(spec)
-    if trace:
-        final, snapshots = run(circuit, trace=True)
-    else:
-        final, snapshots = run(circuit), []
-    if spec.style is OracleStyle.MCX_ANCILLA:
-        return strip_ancilla(final), snapshots
-    return final, snapshots
-
-
-def cmd_run(args) -> None:
+def cmd_run(args) -> Report:
     spec = _validate_spec_args(args)
-    data, snapshots = _final_data_state(spec, args.trace)
+    circuit = build_grover_circuit(spec)
+    final, trace_rows = _simulate(circuit, lambda: grover_step_labels(spec), args)
+    data = data_state(final, spec)
     p = args.precision
     coords = plane_decompose(data, spec.marked)
     c_p, c_r = oblique_coords(data, spec.marked)
     angles = grover_angles(spec.n_qubits, spec.n_marked)
+    angle = plane_angle(coords)
     per_marked = {
         _oriented(b, args.bit_order): _r(data.probability(b), p) for b in spec.marked
     }
@@ -243,101 +251,55 @@ def cmd_run(args) -> None:
             "a_unmarked": _complex_entry(coords.a_unmarked, p),
             "residual_norm": _r(coords.residual_norm, p),
         },
-        "angle": _r(plane_angle(coords), p),
+        "angle": _r(angle, p),
         "oblique": {"c_p": _complex_entry(c_p, p), "c_r": _complex_entry(c_r, p)},
     }
-    trace_rows = []
-    if args.trace:
-        labels = grover_step_labels(spec)
-        trace_rows = _trace_rows(snapshots, labels, p, args.bit_order)
-    if args.format == "json":
-        doc = _document("run", _spec_echo(spec, args), trace_rows if args.trace else [summary])
-        if args.trace:
-            doc["summary"] = summary
-        print(json.dumps(doc, indent=2))
-    elif args.format == "csv":
-        if args.trace:
-            _emit_csv(["step", "label", "bitstring", "re", "im"], _trace_csv_rows(trace_rows))
-        else:
-            rows = [
-                ["p_marked_total", summary["p_marked_total"]],
-                ["p_marked_formula", summary["p_marked_formula"]],
-            ]
-            rows += [[f"p({b})", v] for b, v in per_marked.items()]
-            rows += [
-                ["theta_sin", summary["theta_sin"]],
-                ["theta_cos", summary["theta_cos"]],
-                ["a_marked_re", summary["plane"]["a_marked"]["re"]],
-                ["a_marked_im", summary["plane"]["a_marked"]["im"]],
-                ["a_unmarked_re", summary["plane"]["a_unmarked"]["re"]],
-                ["a_unmarked_im", summary["plane"]["a_unmarked"]["im"]],
-                ["residual_norm", summary["plane"]["residual_norm"]],
-                ["angle", summary["angle"]],
-                ["c_p_re", summary["oblique"]["c_p"]["re"]],
-                ["c_p_im", summary["oblique"]["c_p"]["im"]],
-                ["c_r_re", summary["oblique"]["c_r"]["re"]],
-                ["c_r_im", summary["oblique"]["c_r"]["im"]],
-            ]
-            _emit_csv(["quantity", "value"], rows)
-    else:
-        print(f"n: {spec.n_qubits}")
-        print(f"marked: {' '.join(_oriented(b, args.bit_order) for b in spec.marked)}")
-        print(f"iterations: {spec.iterations}")
-        print(f"style: {args.style}")
-        print(f"theta_sin: {_fmt(angles.theta_sin, p)}")
-        print(f"theta_cos: {_fmt(angles.theta_cos, p)}")
-        print(f"p_marked_total: {_fmt(summary['p_marked_total'], p)}")
-        print(f"p_marked_formula: {_fmt(summary['p_marked_formula'], p)}")
-        for b, v in per_marked.items():
-            print(f"p({b}): {_fmt(v, p)}")
-        print(f"a_marked: {_fmt_complex(coords.a_marked, p)}")
-        print(f"a_unmarked: {_fmt_complex(coords.a_unmarked, p)}")
-        print(f"residual_norm: {_fmt(coords.residual_norm, p)}")
-        print(f"angle: {_fmt(plane_angle(coords), p)}")
-        print(f"oblique: c_p={_fmt_complex(c_p, p)} c_r={_fmt_complex(c_r, p)}")
-        if args.trace:
-            print()
-            _print_trace_text(trace_rows, p)
+    lines = [
+        f"n: {spec.n_qubits}",
+        f"marked: {' '.join(per_marked)}",
+        f"iterations: {spec.iterations}",
+        f"style: {args.style}",
+        f"theta_sin: {_fmt(angles.theta_sin, p)}",
+        f"theta_cos: {_fmt(angles.theta_cos, p)}",
+        f"p_marked_total: {_fmt(summary['p_marked_total'], p)}",
+        f"p_marked_formula: {_fmt(summary['p_marked_formula'], p)}",
+        *(f"p({b}): {_fmt(v, p)}" for b, v in per_marked.items()),
+        f"a_marked: {_fmt_complex(coords.a_marked, p)}",
+        f"a_unmarked: {_fmt_complex(coords.a_unmarked, p)}",
+        f"residual_norm: {_fmt(coords.residual_norm, p)}",
+        f"angle: {_fmt(angle, p)}",
+        f"oblique: c_p={_fmt_complex(c_p, p)} c_r={_fmt_complex(c_r, p)}",
+    ]
+    table = [list(leaf) for leaf in _flatten(summary)]
+    doc = _document("run", _spec_echo(spec, args), [summary])
+    report = Report(doc, ["quantity", "value"], table, lines)
+    return _with_trace(report, trace_rows, summary, p)
 
 
-def cmd_sweep(args) -> None:
-    if not 0 <= args.kmax <= 64:
-        raise UsageError(f"--kmax: must be in 0..64, got {args.kmax}")
+def cmd_sweep(args) -> Report:
+    if not 0 <= args.kmax <= MAX_REPORT_ITERATIONS:
+        raise UsageError(f"--kmax: must be in 0..{MAX_REPORT_ITERATIONS}, got {args.kmax}")
     args.iterations = args.kmax
     spec = _validate_spec_args(args)
     rows = iteration_report(spec, args.kmax)
     p = args.precision
-    row_dicts = [
-        {
-            "k": row.k,
-            "angle": _r(row.angle, p),
-            "p_marked_sim": _r(row.p_marked_sim, p),
-            "p_marked_formula": _r(row.p_marked_formula, p),
-            "p_each_unmarked": _r(row.p_each_unmarked, p),
-        }
+    records = [
+        {key: value if key == "k" else _r(value, p) for key, value in vars(row).items()}
         for row in rows
     ]
-    if args.format == "json":
-        print(json.dumps(_document("sweep", _spec_echo(spec, args), row_dicts), indent=2))
-    elif args.format == "csv":
-        _emit_csv(
-            ["k", "angle", "p_marked_sim", "p_marked_formula", "p_each_unmarked"],
-            [
-                [d["k"], d["angle"], d["p_marked_sim"], d["p_marked_formula"], d["p_each_unmarked"]]
-                for d in row_dicts
-            ],
-        )
-    else:
-        header = f"{'k':>3}  {'angle':>{p + 4}}  {'p_marked_sim':>{p + 6}}  {'p_marked_formula':>{p + 6}}  {'p_each_unmarked':>{p + 6}}"
-        print(header)
-        for row in rows:
-            print(
-                f"{row.k:>3}  {row.angle:>{p + 4}.{p}f}  {row.p_marked_sim:>{p + 6}.{p}f}  "
-                f"{row.p_marked_formula:>{p + 6}.{p}f}  {row.p_each_unmarked:>{p + 6}.{p}f}"
-            )
+    fields = list(records[0])[1:]
+    widths = (p + 4, p + 6, p + 6, p + 6)
+    lines = [f"{'k':>3}  " + "  ".join(f"{f:>{w}}" for f, w in zip(fields, widths))]
+    lines += [
+        f"{row.k:>3}  " + "  ".join(f"{getattr(row, f):>{w}.{p}f}" for f, w in zip(fields, widths))
+        for row in rows
+    ]
+    return Report(
+        _document("sweep", _spec_echo(spec, args), records), *_records_table(records), lines
+    )
 
 
-def cmd_predict(args) -> None:
+def cmd_predict(args) -> Report:
     if not 1 <= args.n <= MAX_QUBITS:
         raise UsageError(f"--n: must be in 1..{MAX_QUBITS}, got {args.n}")
     if not 1 <= args.m < (1 << args.n):
@@ -360,64 +322,52 @@ def cmd_predict(args) -> None:
         "p_marked_formula": _r(predicted_success(args.n, args.m, k), p),
         "p_each_unmarked": _r(p_each_unmarked(args.n, args.m, k), p),
     }
-    if args.format == "json":
-        spec_echo = {"n": args.n, "m": args.m, "iterations": k, "optimal": bool(args.optimal)}
-        print(json.dumps(_document("predict", spec_echo, [result]), indent=2))
-    elif args.format == "csv":
-        _emit_csv(
-            ["quantity", "value"],
-            [[key, value] for key, value in result.items() if key != "optimal"]
-            + [["optimal", int(result["optimal"])]],
-        )
-    else:
-        for key in ("n", "m", "iterations", "optimal"):
-            print(f"{key}: {result[key]}")
-        for key in ("theta_sin", "theta_cos", "p_marked_formula", "p_each_unmarked"):
-            print(f"{key}: {_fmt(result[key], p)}")
+    spec_echo = {key: result[key] for key in ("n", "m", "iterations", "optimal")}
+    table = [[key, value] for key, value in result.items() if key != "optimal"]
+    lines = [f"{key}: {value}" for key, value in spec_echo.items()]
+    lines += [f"{key}: {_fmt(value, p)}" for key, value in result.items() if key not in spec_echo]
+    return Report(
+        _document("predict", spec_echo, [result]),
+        ["quantity", "value"],
+        table + [["optimal", int(result["optimal"])]],
+        lines,
+    )
 
 
-def cmd_sample(args) -> None:
+def cmd_sample(args) -> Report:
     spec = _validate_spec_args(args)
     if args.shots < 1:
         raise UsageError(f"--shots: must be >= 1, got {args.shots}")
     seed = _resolve_seed(args)
-    circuit = build_grover_circuit(spec)
-    final = run(circuit)
-    n_data = spec.n_qubits if spec.style is OracleStyle.MCX_ANCILLA else None
-    histogram = measure_all(final, args.shots, seed, n_data=n_data)
-    items = [
-        (_oriented(bits, args.bit_order), count) for bits, count in histogram.counts.items()
+    final = run(build_grover_circuit(spec))
+    histogram = measure_all(final, args.shots, seed, n_data=spec.n_qubits)
+    records = [
+        {"bitstring": _oriented(bits, args.bit_order), "count": count}
+        for bits, count in histogram.counts.items()
     ]
-    items.sort(key=lambda kv: (-kv[1], kv[0]))
-    if args.format == "json":
-        doc = _document(
-            "sample",
-            _spec_echo(spec, args),
-            [{"bitstring": bits, "count": count} for bits, count in items],
-        )
-        doc["shots"] = histogram.shots
-        doc["seed"] = histogram.seed
-        print(json.dumps(doc, indent=2))
-    elif args.format == "csv":
-        _emit_csv(["bitstring", "count"], [[bits, count] for bits, count in items])
-    else:
-        print(f"shots: {histogram.shots}")
-        print(f"seed: {histogram.seed}")
-        for bits, count in items:
-            print(f"{bits}  {count}")
+    records.sort(key=lambda d: (-d["count"], d["bitstring"]))
+    lines = [f"shots: {histogram.shots}", f"seed: {histogram.seed}"]
+    lines += [f"{d['bitstring']}  {d['count']}" for d in records]
+    doc = _document(
+        "sample", _spec_echo(spec, args), records, shots=histogram.shots, seed=histogram.seed
+    )
+    return Report(doc, *_records_table(records), lines)
 
 
-def cmd_dump(args) -> None:
+def cmd_dump(args) -> Report:
     spec = _validate_spec_args(args)
     text = circuit_to_text(build_grover_circuit(spec))
     if args.out is None or args.out == "-":
-        sys.stdout.write(text)
-    else:
+        return Report(None, [], [], text.splitlines())
+    try:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as err:
+        raise UsageError(f"--out: {err}") from None
+    return Report(None, [], [], [])
 
 
-def cmd_load(args) -> None:
+def cmd_load(args) -> Report:
     if args.file is None or args.file == "-":
         text = sys.stdin.read()
         source = "<stdin>"
@@ -425,53 +375,36 @@ def cmd_load(args) -> None:
         try:
             with open(args.file, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as err:
+        except (OSError, UnicodeDecodeError) as err:
             raise UsageError(f"--file: {err}") from None
         source = args.file
     try:
         circuit = circuit_from_text(text)
     except (ValueError, IndexError) as err:
         raise UsageError(f"--file: {err}") from None
-    if args.trace:
-        final, snapshots = run(circuit, trace=True)
-    else:
-        final, snapshots = run(circuit), []
+    final, trace_rows = _simulate(circuit, lambda: map(op_to_text, circuit.ops), args)
     p = args.precision
-    probs = final.probabilities()
-    prob_rows = []
-    for i, value in enumerate(probs):
-        if value <= AMPLITUDE_CUTOFF:
-            continue
-        bits = format(i, f"0{circuit.n_qubits}b")
-        prob_rows.append({"bitstring": _oriented(bits, args.bit_order), "p": _r(value, p)})
-    prob_rows.sort(key=lambda d: (-d["p"], d["bitstring"]))
-    trace_rows = []
-    if args.trace:
-        labels = tuple(op_to_text(op) for op in circuit.ops)
-        trace_rows = _trace_rows(snapshots, labels, p, args.bit_order)
-    if args.format == "json":
-        doc = _document(
-            "load",
-            {"source": source, "n": circuit.n_qubits, "bit_order": args.bit_order},
-            trace_rows if args.trace else prob_rows,
-        )
-        if args.trace:
-            doc["summary"] = prob_rows
-        print(json.dumps(doc, indent=2))
-    elif args.format == "csv":
-        if args.trace:
-            _emit_csv(["step", "label", "bitstring", "re", "im"], _trace_csv_rows(trace_rows))
-        else:
-            _emit_csv(["bitstring", "p"], [[d["bitstring"], d["p"]] for d in prob_rows])
+    probs = _nonzero(final.probabilities(), circuit.n_qubits, args.bit_order)
+    records = [{"bitstring": bits, "p": _r(value, p)} for bits, value in probs]
+    records.sort(key=lambda d: (-d["p"], d["bitstring"]))
+    lines = [f"source: {source}", f"n: {circuit.n_qubits}", f"ops: {len(circuit)}"]
+    lines += [f"p({d['bitstring']}): {_fmt(d['p'], p)}" for d in records]
+    spec_echo = {"source": source, "n": circuit.n_qubits, "bit_order": args.bit_order}
+    report = Report(_document("load", spec_echo, records), *_records_table(records), lines)
+    return _with_trace(report, trace_rows, records, p)
+
+
+def _emit(report: Report, fmt: str) -> None:
+    """Print a command's report as json, csv or text: the one place --format is read."""
+    if fmt == "json":
+        print(json.dumps(report.doc, indent=2))
+    elif fmt == "csv":
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(report.columns)
+        writer.writerows(report.rows)
     else:
-        print(f"source: {source}")
-        print(f"n: {circuit.n_qubits}")
-        print(f"ops: {len(circuit)}")
-        for d in prob_rows:
-            print(f"p({d['bitstring']}): {_fmt(d['p'], p)}")
-        if args.trace:
-            print()
-            _print_trace_text(trace_rows, p)
+        for line in report.lines:
+            print(line)
 
 
 def _add_output_flags(parser: argparse.ArgumentParser) -> None:
@@ -543,12 +476,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    precision = getattr(args, "precision", 6)
-    if not 0 <= precision <= 17:
-        print(f"error: --precision: must be in 0..17, got {precision}", file=sys.stderr)
-        return 2
     try:
-        args.func(args)
+        precision = getattr(args, "precision", 6)
+        if not 0 <= precision <= 17:
+            raise UsageError(f"--precision: must be in 0..17, got {precision}")
+        _emit(args.func(args), getattr(args, "format", "text"))
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

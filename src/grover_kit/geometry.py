@@ -110,24 +110,9 @@ def optimal_iterations(n_qubits: int, m: int) -> int:
     return max(candidates, key=lambda k: (predicted_success(n_qubits, m, k), -k))
 
 
-def _marked_indices(n_qubits: int, marked: Sequence[str]) -> list[int]:
-    seen = []
-    for bits in marked:
-        if len(bits) != n_qubits or any(ch not in "01" for ch in bits):
-            raise ValueError(f"marked string {bits!r} is not a bitstring of length {n_qubits}")
-        seen.append(bitstring_to_index(bits))
-    if len(set(seen)) != len(seen):
-        raise ValueError(f"duplicate marked strings in {tuple(marked)}")
-    if not 1 <= len(seen) < (1 << n_qubits):
-        raise ValueError(
-            f"need between 1 and 2^n - 1 marked strings, got {len(seen)} for n={n_qubits}"
-        )
-    return sorted(seen)
-
-
 def marked_plane_basis(n_qubits: int, marked: Sequence[str]) -> tuple[StateVector, StateVector]:
     """Orthonormal pair (|beta>, |alpha>): uniform over marked / unmarked."""
-    indices = _marked_indices(n_qubits, marked)
+    indices = [bitstring_to_index(b) for b in GroverSpec(n_qubits, tuple(marked), 0).marked]
     dim = 1 << n_qubits
     beta = np.zeros(dim, dtype=np.complex128)
     beta[indices] = 1.0 / math.sqrt(len(indices))
@@ -213,7 +198,8 @@ def strip_ancilla(state: StateVector) -> StateVector:
     return StateVector(state.n_qubits - 1, data, copy=False)
 
 
-def _data_state(state: StateVector, spec: GroverSpec) -> StateVector:
+def data_state(state: StateVector, spec: GroverSpec) -> StateVector:
+    """The data register of a final state: the ancilla stripped for ``mcx_ancilla`` specs."""
     if spec.style is OracleStyle.MCX_ANCILLA:
         return strip_ancilla(state)
     return state
@@ -236,7 +222,7 @@ def iteration_report(spec: GroverSpec, k_max: int) -> list[IterationRow]:
     for k in range(k_max + 1):
         if k > 0:
             state = run(block, initial=state)
-        data = _data_state(state, spec)
+        data = data_state(state, spec)
         p_sim = sum(data.probability(bits) for bits in spec.marked)
         rows.append(
             IterationRow(

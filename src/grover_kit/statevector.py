@@ -78,9 +78,7 @@ class StateVector:
 
     def probability(self, bits: str) -> float:
         """Probability of measuring the given msb-first bitstring."""
-        if len(bits) != self.n_qubits:
-            raise ValueError(f"bitstring {bits!r} has length {len(bits)}, expected {self.n_qubits}")
-        return float(abs(self._amps[bitstring_to_index(bits)]) ** 2)
+        return abs(self.amplitude(bits)) ** 2
 
     def amplitude(self, bits: str) -> complex:
         if len(bits) != self.n_qubits:
@@ -126,8 +124,11 @@ def ket(pattern: str) -> StateVector:
 
 
 def _apply_single_inplace(amps: np.ndarray, n_qubits: int, kind: str, target: int) -> None:
-    """Apply H, X or Z to `target` directly on a writable amplitude array."""
-    view = np.moveaxis(amps.reshape((2,) * n_qubits), target, 0)
+    """Apply H, X or Z to `target` directly on a writable amplitude array.
+
+    Axis 0 of `amps` is the amplitude index; trailing axes are a batch.
+    """
+    view = np.moveaxis(amps.reshape((2,) * n_qubits + amps.shape[1:]), target, 0)
     if kind == "X":
         tmp = view[0].copy()
         view[0] = view[1]
@@ -150,13 +151,14 @@ def _apply_multicontrolled_inplace(
 
     The base gate acts on `target` only when every control qubit is 1.
     Implemented with integer index masks; for Z only sign flips happen, for
-    X the selected amplitude pairs swap.
+    X the selected amplitude pairs swap. Axis 0 of `amps` is the amplitude
+    index; trailing axes are a batch.
     """
     tbit = 1 << (n_qubits - 1 - target)
     cmask = 0
     for c in controls:
         cmask |= 1 << (n_qubits - 1 - c)
-    indices = np.arange(amps.size)
+    indices = np.arange(amps.shape[0])
     if base == "Z":
         full = cmask | tbit
         amps[(indices & full) == full] *= -1.0
@@ -170,42 +172,20 @@ def _apply_multicontrolled_inplace(
         raise ValueError(f"unknown controlled base gate {base!r}")
 
 
-def _check_qubit(q: int, n_qubits: int, what: str) -> None:
-    if not isinstance(q, (int, np.integer)):
-        raise IndexError(f"{what} must be an integer qubit index, got {q!r}")
-    if not 0 <= q < n_qubits:
-        raise IndexError(f"{what} {q} out of range for {n_qubits} qubits")
-
-
 def apply_single(state: StateVector, kind: str, target: int) -> StateVector:
     """New state with H, X or Z applied to `target`. The input is untouched."""
-    if kind not in SINGLE_QUBIT_MATRICES:
-        raise ValueError(f"unknown single-qubit gate {kind!r}, expected H, X or Z")
-    _check_qubit(target, state.n_qubits, "target")
-    out = state.amps.copy()
-    _apply_single_inplace(out, state.n_qubits, kind, target)
-    return StateVector(state.n_qubits, out, copy=False)
+    from grover_kit.circuit import Circuit, Single, run  # circuit imports this module
+
+    return run(Circuit(state.n_qubits, (Single(kind, target),)), state)
 
 
 def apply_multicontrolled(
     state: StateVector, base: str, controls: tuple[int, ...] | list[int], target: int
 ) -> StateVector:
     """New state with a multi-controlled X or Z applied. The input is untouched."""
-    if base not in ("X", "Z"):
-        raise ValueError(f"unknown controlled base gate {base!r}, expected X or Z")
-    ctrl = tuple(controls)
-    if not ctrl:
-        raise ValueError("controls must be non-empty")
-    if len(set(ctrl)) != len(ctrl):
-        raise ValueError(f"duplicate control qubits in {ctrl}")
-    for c in ctrl:
-        _check_qubit(c, state.n_qubits, "control")
-    _check_qubit(target, state.n_qubits, "target")
-    if target in ctrl:
-        raise ValueError(f"target {target} also listed as a control")
-    out = state.amps.copy()
-    _apply_multicontrolled_inplace(out, state.n_qubits, base, ctrl, target)
-    return StateVector(state.n_qubits, out, copy=False)
+    from grover_kit.circuit import Circuit, MultiControlled, run  # circuit imports this module
+
+    return run(Circuit(state.n_qubits, (MultiControlled(base, controls, target),)), state)
 
 
 def inner_product(a: StateVector, b: StateVector) -> complex:

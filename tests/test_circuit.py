@@ -59,6 +59,10 @@ def test_op_validation():
         MultiControlled("X", (1, 1), 0)
     with pytest.raises(ValueError):
         MultiControlled("Z", (0,), 0)
+    with pytest.raises(IndexError):
+        Single("H", True)
+    with pytest.raises(IndexError):
+        MultiControlled("X", (False,), True)
 
 
 def test_circuit_width_check():
@@ -91,6 +95,10 @@ def test_grover_spec_validation():
         GroverSpec(3, ("001",), -1)
     with pytest.raises(ValueError):
         GroverSpec(3, (), 1)
+    with pytest.raises(ValueError):
+        GroverSpec(3, ("001",), 1.5)
+    with pytest.raises(ValueError):
+        GroverSpec(3, ("001",), True)
 
 
 def test_mcz_oracle_is_diagonal_sign_flip():
@@ -229,6 +237,32 @@ def test_grover_iteration_composes():
     )
     direct = run(build_grover_circuit(spec))
     assert np.allclose(stepwise.amps, direct.amps, atol=1e-12)
+
+
+@given(
+    st.integers(2, 6).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=3, unique=True),
+            st.integers(0, 3),
+            st.sampled_from(OracleStyle),
+        )
+    )
+)
+@settings(max_examples=150, deadline=None)
+def test_single_builder_views_agree(case):
+    n, indices, k, style = case
+    marked = tuple(format(i, f"0{n}b") for i in indices)
+    spec = GroverSpec(n, marked, k, style)
+    prep = build_grover_circuit(GroverSpec(n, marked, 0, style)).ops
+    block = grover_iteration(spec).ops
+    assert build_grover_circuit(spec).ops == prep + block * k
+    oracle = compile_phase_oracle(n, marked, style).ops
+    assert block == oracle + compile_diffuser(n).ops
+    labels = grover_step_labels(spec)
+    assert len(labels) == len(prep) + k * len(block)
+    for i, label in enumerate(labels[len(prep):]):
+        assert label.startswith(f"k{1 + i // len(block)} ")
 
 
 def test_op_to_text_forms():

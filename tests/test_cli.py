@@ -270,6 +270,23 @@ def test_load_missing_file(capsys):
     assert "--file" in err
 
 
+def test_load_non_utf8_file(capsys, tmp_path):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes("# qubits: 1 \xe9\nH 0\n".encode("latin-1"))
+    code, out, err = run_cli(capsys, "load", "--file", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --file:")
+
+
+def test_dump_to_missing_directory(capsys, tmp_path):
+    target = tmp_path / "missing" / "x.txt"
+    code, out, err = run_cli(capsys, "dump", "--n", "2", "--marked", "01", "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --out:")
+
+
 def test_precision_bound(capsys):
     code, _, err = run_cli(
         capsys, "run", "--n", "2", "--marked", "01", "--iterations", "1", "--precision", "40"

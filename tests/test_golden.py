@@ -49,13 +49,16 @@ def _cases() -> dict[str, tuple[list[str], str | None]]:
     for order in ORDERS:
         for fmt in FORMATS:
             out = ["--format", fmt, "--bit-order", order]
-            cases[f"predict-{order}-{fmt}"] = ["predict", "--n", "5", "--m", "3", "--iterations", "2", *out]
+            predict = ["predict", "--n", "5", "--m", "3", "--iterations", "2"]
+            cases[f"predict-{order}-{fmt}"] = [*predict, *out]
             cases[f"load-{order}-{fmt}"] = ["load", "--file", "ancilla.circ", *out]
             cases[f"load-trace-{order}-{fmt}"] = ["load", "--file", "mixed.circ", "--trace", *out]
     for fmt in FORMATS:
-        cases[f"predict-optimal-{fmt}"] = ["predict", "--n", "5", "--m", "1", "--optimal", "--format", fmt]
+        optimal = ["predict", "--n", "5", "--m", "1", "--optimal"]
+        cases[f"predict-optimal-{fmt}"] = [*optimal, "--format", fmt]
     cases["run-k0"] = ["run", "--n", "3", "--marked", "101", "--iterations", "0"]
-    cases["run-n1-k0"] = ["run", "--n", "1", "--marked", "1", "--iterations", "0", "--format", "json"]
+    cases["run-n1-k0"] = ["run", "--n", "1", "--marked", "1", "--iterations", "0",
+                          "--format", "json"]
     cases["sweep-n1-k0"] = ["sweep", "--n", "1", "--marked", "0", "--kmax", "0"]
     cases["sample-default-seed"] = ["sample", "--n", "3", "--marked", "010", "--shots", "50"]
     for digits in ("0", "17"):
