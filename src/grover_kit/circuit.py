@@ -34,10 +34,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from grover_kit.statevector import (
-    MAX_QUBITS,
     StateVector,
     _apply_multicontrolled_inplace,
     _apply_single_inplace,
+    _check_n_qubits,
     zero_state,
 )
 
@@ -111,8 +111,7 @@ class Circuit:
     ops: tuple[GateOp, ...]
 
     def __post_init__(self):
-        if not 1 <= self.n_qubits <= MAX_QUBITS:
-            raise ValueError(f"n_qubits must be in 1..{MAX_QUBITS}, got {self.n_qubits}")
+        _check_n_qubits(self.n_qubits)
         object.__setattr__(self, "ops", tuple(self.ops))
         for i, op in enumerate(self.ops):
             for q in op.qubits:
@@ -144,8 +143,10 @@ class GroverSpec:
     style: OracleStyle = OracleStyle.MCZ_DIRECT
 
     def __post_init__(self):
-        if not 1 <= self.n_qubits <= MAX_QUBITS:
-            raise SpecError("n_qubits", f"n_qubits must be in 1..{MAX_QUBITS}, got {self.n_qubits}")
+        try:
+            _check_n_qubits(self.n_qubits)
+        except ValueError as err:
+            raise SpecError("n_qubits", str(err)) from None
         marked = tuple(self.marked) if not isinstance(self.marked, str) else (self.marked,)
         for bits in marked:
             if len(bits) != self.n_qubits or any(ch not in "01" for ch in bits):

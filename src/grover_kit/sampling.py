@@ -37,7 +37,9 @@ def measure_all(
     With n_data set, only the first n_data qubits appear in the keys; the
     trailing qubits (the ancilla, in this package) are measured but
     marginalized out. Sampling is inverse-CDF: one uniform draw per shot,
-    binary-searched against the cumulative distribution.
+    binary-searched against the cumulative distribution. That distribution
+    is divided by its own total, so a norm that rounds below 1 cannot send
+    a draw to an outcome of probability 0.
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
@@ -48,15 +50,13 @@ def measure_all(
     if not 1 <= n_data <= state.n_qubits:
         raise ValueError(f"n_data must be in 1..{state.n_qubits}, got {n_data}")
     cdf = np.cumsum(state.probabilities())
-    cdf[-1] = 1.0
+    cdf /= cdf[-1]
     rng = np.random.default_rng(seed)
     draws = rng.random(shots)
     outcomes = np.searchsorted(cdf, draws, side="right")
     data_outcomes = outcomes >> (state.n_qubits - n_data)
     tallies = np.bincount(data_outcomes, minlength=1 << n_data)
-    pairs = [
-        (index_to_bitstring(i, n_data), int(c)) for i, c in enumerate(tallies) if c > 0
-    ]
+    pairs = [(index_to_bitstring(int(i), n_data), int(tallies[i])) for i in np.flatnonzero(tallies)]
     pairs.sort(key=lambda kv: (-kv[1], kv[0]))
     return Histogram(shots=shots, seed=seed, counts=dict(pairs))
 

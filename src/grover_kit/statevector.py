@@ -8,6 +8,11 @@ translate qubit indices (q -> n-1-q) when comparing against it.
 Amplitudes are numpy complex128 throughout. No operation renormalizes: the
 norm is checked on construction and a violation raises rather than being
 silently corrected.
+
+All gates run through one kernel, `_apply_gate_inplace`. On the ``(2,)*n``
+reshape of the amplitudes, the subspace where every control is 1 is a
+strided view, so no index arrays are built. Z negates half of that subspace
+in place; H and X copy half of it, and numpy adds one half-sized temporary.
 """
 
 from __future__ import annotations
@@ -19,11 +24,12 @@ NORM_TOL = 1e-9
 
 _SQRT2_INV = 1.0 / np.sqrt(2.0)
 
-_H = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) * _SQRT2_INV
-_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
-_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
 
-SINGLE_QUBIT_MATRICES = {"H": _H, "X": _X, "Z": _Z}
+def _check_n_qubits(n_qubits) -> None:
+    """Raise ValueError unless `n_qubits` is an integer (not a bool) in 1..MAX_QUBITS."""
+    is_int = isinstance(n_qubits, (int, np.integer)) and not isinstance(n_qubits, bool)
+    if not (is_int and 1 <= n_qubits <= MAX_QUBITS):
+        raise ValueError(f"n_qubits must be an integer in 1..{MAX_QUBITS}, got {n_qubits!r}")
 
 
 def bitstring_to_index(bits: str) -> int:
@@ -46,8 +52,7 @@ class StateVector:
     __slots__ = ("n_qubits", "_amps")
 
     def __init__(self, n_qubits: int, amps: np.ndarray, *, copy: bool = True):
-        if not 1 <= n_qubits <= MAX_QUBITS:
-            raise ValueError(f"n_qubits must be in 1..{MAX_QUBITS}, got {n_qubits}")
+        _check_n_qubits(n_qubits)
         arr = np.asarray(amps, dtype=np.complex128)
         if arr.shape != (1 << n_qubits,):
             raise ValueError(
@@ -91,8 +96,7 @@ class StateVector:
 
 def zero_state(n_qubits: int) -> StateVector:
     """|0...0> on n_qubits qubits."""
-    if not 1 <= n_qubits <= MAX_QUBITS:
-        raise ValueError(f"n_qubits must be in 1..{MAX_QUBITS}, got {n_qubits}")
+    _check_n_qubits(n_qubits)
     amps = np.zeros(1 << n_qubits, dtype=np.complex128)
     amps[0] = 1.0
     return StateVector(n_qubits, amps, copy=False)
@@ -123,53 +127,45 @@ def ket(pattern: str) -> StateVector:
     return StateVector(len(pattern), amps, copy=False)
 
 
-def _apply_single_inplace(amps: np.ndarray, n_qubits: int, kind: str, target: int) -> None:
-    """Apply H, X or Z to `target` directly on a writable amplitude array.
+def _apply_gate_inplace(
+    amps: np.ndarray, n_qubits: int, kind: str, controls: tuple[int, ...], target: int
+) -> None:
+    """Apply H, X or Z to `target` where every control qubit is 1, in place.
 
     Axis 0 of `amps` is the amplitude index; trailing axes are a batch.
+    `amps` must be C-contiguous so that its ``(2,)*n_qubits`` reshape is a
+    view; otherwise the reshape raises rather than write to a copy.
     """
-    view = np.moveaxis(amps.reshape((2,) * n_qubits + amps.shape[1:]), target, 0)
+    view = amps.reshape((2,) * n_qubits + amps.shape[1:], copy=False)
+    index = [1 if q in controls else slice(None) for q in range(n_qubits)]
+    index[target] = 0
+    lo = view[(*index, Ellipsis)]
+    index[target] = 1
+    hi = view[(*index, Ellipsis)]
     if kind == "X":
-        tmp = view[0].copy()
-        view[0] = view[1]
-        view[1] = tmp
+        tmp = lo.copy()
+        lo[...] = hi
+        hi[...] = tmp
     elif kind == "Z":
-        view[1] *= -1.0
+        hi *= -1.0
     elif kind == "H":
-        a = view[0].copy()
-        b = view[1]
-        view[0] = (a + b) * _SQRT2_INV
-        view[1] = (a - b) * _SQRT2_INV
+        a = lo.copy()
+        lo[...] = (a + hi) * _SQRT2_INV
+        hi[...] = (a - hi) * _SQRT2_INV
     else:
-        raise ValueError(f"unknown single-qubit gate {kind!r}")
+        raise ValueError(f"unknown gate {kind!r}")
+
+
+def _apply_single_inplace(amps: np.ndarray, n_qubits: int, kind: str, target: int) -> None:
+    """Apply H, X or Z to `target`; see `_apply_gate_inplace`."""
+    _apply_gate_inplace(amps, n_qubits, kind, (), target)
 
 
 def _apply_multicontrolled_inplace(
     amps: np.ndarray, n_qubits: int, base: str, controls: tuple[int, ...], target: int
 ) -> None:
-    """Apply a multi-controlled X or Z on a writable amplitude array.
-
-    The base gate acts on `target` only when every control qubit is 1.
-    Implemented with integer index masks; for Z only sign flips happen, for
-    X the selected amplitude pairs swap. Axis 0 of `amps` is the amplitude
-    index; trailing axes are a batch.
-    """
-    tbit = 1 << (n_qubits - 1 - target)
-    cmask = 0
-    for c in controls:
-        cmask |= 1 << (n_qubits - 1 - c)
-    indices = np.arange(amps.shape[0])
-    if base == "Z":
-        full = cmask | tbit
-        amps[(indices & full) == full] *= -1.0
-    elif base == "X":
-        lower = indices[((indices & cmask) == cmask) & ((indices & tbit) == 0)]
-        upper = lower | tbit
-        tmp = amps[lower].copy()
-        amps[lower] = amps[upper]
-        amps[upper] = tmp
-    else:
-        raise ValueError(f"unknown controlled base gate {base!r}")
+    """Apply X or Z to `target` where every control is 1; see `_apply_gate_inplace`."""
+    _apply_gate_inplace(amps, n_qubits, base, controls, target)
 
 
 def apply_single(state: StateVector, kind: str, target: int) -> StateVector:

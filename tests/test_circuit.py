@@ -9,6 +9,7 @@ from grover_kit.circuit import (
     MultiControlled,
     OracleStyle,
     Single,
+    SpecError,
     build_grover_circuit,
     circuit_from_text,
     circuit_to_text,
@@ -72,6 +73,10 @@ def test_circuit_width_check():
         Circuit(2, (MultiControlled("X", (0,), 3),))
     with pytest.raises(ValueError):
         Circuit(0, ())
+    with pytest.raises(ValueError):
+        Circuit(2.0, (Single("H", 0),))
+    with pytest.raises(ValueError):
+        Circuit(True, (Single("H", 0),))
 
 
 def test_grover_spec_normalizes_marked():
@@ -99,6 +104,12 @@ def test_grover_spec_validation():
         GroverSpec(3, ("001",), 1.5)
     with pytest.raises(ValueError):
         GroverSpec(3, ("001",), True)
+    with pytest.raises(SpecError) as err:
+        GroverSpec(3.0, ("001",), 1)
+    assert err.value.field == "n_qubits"
+    with pytest.raises(SpecError) as err:
+        GroverSpec(True, ("1",), 0)
+    assert err.value.field == "n_qubits"
 
 
 def test_mcz_oracle_is_diagonal_sign_flip():

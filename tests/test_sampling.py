@@ -1,5 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from grover_kit.circuit import GroverSpec, OracleStyle, build_grover_circuit, run
 from grover_kit.geometry import predicted_success
@@ -107,3 +111,35 @@ def test_binomial_interval_validation():
         binomial_interval(0.5, 0, 3.0)
     with pytest.raises(ValueError):
         binomial_interval(0.5, 100, 0.0)
+
+
+class FixedDraws:
+    """Stands in for the generator: returns the given draws, cycled to `shots`."""
+
+    def __init__(self, draws):
+        self.draws = np.asarray(draws, dtype=float)
+
+    def random(self, shots):
+        return np.resize(self.draws, shots)
+
+
+@given(
+    st.integers(1, 4)
+    .flatmap(lambda n: st.lists(st.sampled_from([0.0, 0.3, 1.0]), min_size=1 << n, max_size=1 << n))
+    .filter(any),
+    st.floats(0.0, 1e-10),
+    st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=8),
+)
+@example([0.5, 0.5, 0.0, 0.0], 1e-12, [])
+@settings(max_examples=200, deadline=None)
+def test_zero_probability_outcome_is_never_sampled(weights, deficit, draws):
+    # The norm may fall short of 1 by rounding; the draws closest to 0 and
+    # to 1 must still land on outcomes that have probability.
+    n = len(weights).bit_length() - 1
+    weights = np.array(weights)
+    probs = weights / weights.sum() * (1.0 - deficit)
+    state = StateVector(n, np.sqrt(probs))
+    fixed = FixedDraws([0.0, np.nextafter(1.0, 0.0), *draws])
+    with mock.patch.object(np.random, "default_rng", lambda seed: fixed):
+        hist = measure_all(state, len(fixed.draws), 0)
+    assert all(state.probability(bits) > 0.0 for bits in hist.counts)

@@ -1,8 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grover_kit.statevector import (
     StateVector,
+    _apply_multicontrolled_inplace,
+    _apply_single_inplace,
     apply_multicontrolled,
     apply_single,
     bitstring_to_index,
@@ -76,6 +82,12 @@ def test_statevector_validation():
         StateVector(1, np.array([1.0, 1.0]))
     with pytest.raises(ValueError):
         StateVector(1, np.array([np.nan, 0.0]))
+    with pytest.raises(ValueError):
+        StateVector(True, np.array([1.0, 0.0]))
+    with pytest.raises(ValueError):
+        StateVector(1.0, np.array([1.0, 0.0]))
+    with pytest.raises(ValueError):
+        zero_state(2.0)
 
 
 def test_amps_are_read_only():
@@ -222,3 +234,65 @@ def test_equal_up_to_global_phase():
     assert not equal_up_to_global_phase(ket("0"), ket("00"))
     # orthogonal states are never phase-equal
     assert not equal_up_to_global_phase(ket("p"), ket("m"))
+
+
+def dense_gate(n, kind, controls, target):
+    """The gate as a 2^n x 2^n matrix, built from the bits of each basis index."""
+
+    def bit(j, q):
+        return (j >> (n - 1 - q)) & 1
+
+    tbit = 1 << (n - 1 - target)
+    s = 1.0 / np.sqrt(2.0)
+    m = np.zeros((1 << n, 1 << n))
+    for j in range(1 << n):
+        if not all(bit(j, c) for c in controls):
+            m[j, j] = 1.0
+        elif kind == "X":
+            m[j ^ tbit, j] = 1.0
+        elif kind == "Z":
+            m[j, j] = -1.0 if bit(j, target) else 1.0
+        else:
+            m[j & ~tbit, j] = s
+            m[j | tbit, j] = -s if bit(j, target) else s
+    return m
+
+
+@st.composite
+def gates(draw):
+    n = draw(st.integers(1, 6))
+    target = draw(st.integers(0, n - 1))
+    others = draw(st.permutations([q for q in range(n) if q != target]))
+    controls = tuple(others[: draw(st.integers(0, len(others)))])
+    kind = draw(st.sampled_from("XZ" if controls else "HXZ"))
+    return n, kind, controls, target
+
+
+@given(gates(), st.integers(0, 2**32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_kernels_match_dense_bit_arithmetic(gate, seed):
+    n, kind, controls, target = gate
+    rng = np.random.default_rng(seed)
+    amps = rng.standard_normal((1 << n, 3)) + 1j * rng.standard_normal((1 << n, 3))
+    expected = dense_gate(n, kind, controls, target) @ amps
+    if controls:
+        _apply_multicontrolled_inplace(amps, n, kind, controls, target)
+    else:
+        _apply_single_inplace(amps, n, kind, target)
+    np.testing.assert_allclose(amps, expected, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("base", ["Z", "X"])
+def test_fully_controlled_gate_allocates_no_state_sized_temporary(base):
+    n = 16
+    amps = np.zeros(1 << n, dtype=np.complex128)
+    amps[-1] = 1.0
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        _apply_multicontrolled_inplace(amps, n, base, tuple(range(n - 1)), n - 1)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < amps.nbytes / 8
