@@ -134,9 +134,9 @@ def _apply_gate_inplace(
 
     Axis 0 of `amps` is the amplitude index; trailing axes are a batch.
     `amps` must be C-contiguous so that its ``(2,)*n_qubits`` reshape is a
-    view; otherwise the reshape raises rather than write to a copy.
+    view; `run` and `dense_unitary` both pass such arrays.
     """
-    view = amps.reshape((2,) * n_qubits + amps.shape[1:], copy=False)
+    view = amps.reshape((2,) * n_qubits + amps.shape[1:])
     index = [1 if q in controls else slice(None) for q in range(n_qubits)]
     index[target] = 0
     lo = view[(*index, Ellipsis)]
