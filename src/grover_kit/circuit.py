@@ -34,22 +34,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from grover_kit.statevector import (
+    SpecError,
     StateVector,
     _apply_multicontrolled_inplace,
     _apply_single_inplace,
-    _check_n_qubits,
+    check_n_qubits,
     zero_state,
 )
 
 MAX_DENSE_QUBITS = 10
-
-
-class SpecError(ValueError):
-    """A GroverSpec field fails validation; `field` names the offending attribute."""
-
-    def __init__(self, field: str, message: str):
-        super().__init__(message)
-        self.field = field
+# Covers the optimal k of every allowed width: optimal_iterations(26, 1) is 6433.
+MAX_ITERATIONS = 8192
 
 
 def _check_index(q) -> None:
@@ -111,7 +106,7 @@ class Circuit:
     ops: tuple[GateOp, ...]
 
     def __post_init__(self):
-        _check_n_qubits(self.n_qubits)
+        check_n_qubits(self.n_qubits)
         object.__setattr__(self, "ops", tuple(self.ops))
         for i, op in enumerate(self.ops):
             for q in op.qubits:
@@ -143,10 +138,9 @@ class GroverSpec:
     style: OracleStyle = OracleStyle.MCZ_DIRECT
 
     def __post_init__(self):
-        try:
-            _check_n_qubits(self.n_qubits)
-        except ValueError as err:
-            raise SpecError("n_qubits", str(err)) from None
+        if not isinstance(self.style, OracleStyle):
+            raise SpecError("style", f"style must be an OracleStyle, got {self.style!r}")
+        check_n_qubits(self.n_qubits, ancillas=int(self.style is OracleStyle.MCX_ANCILLA))
         marked = tuple(self.marked) if not isinstance(self.marked, str) else (self.marked,)
         for bits in marked:
             if len(bits) != self.n_qubits or any(ch not in "01" for ch in bits):
@@ -159,11 +153,12 @@ class GroverSpec:
             count = f"got {len(marked)} for n={self.n_qubits}"
             raise SpecError("marked", f"need between 1 and 2^n - 1 marked strings, {count}")
         object.__setattr__(self, "marked", tuple(sorted(marked, key=lambda b: int(b, 2))))
-        if not isinstance(self.style, OracleStyle):
-            raise SpecError("style", f"style must be an OracleStyle, got {self.style!r}")
         k = self.iterations
-        if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 0:
-            raise SpecError("iterations", f"iterations must be an integer >= 0, got {k!r}")
+        is_int = isinstance(k, (int, np.integer)) and not isinstance(k, bool)
+        if not (is_int and 0 <= k <= MAX_ITERATIONS):
+            raise SpecError(
+                "iterations", f"iterations must be an integer in 0..{MAX_ITERATIONS}, got {k!r}"
+            )
         if k >= 1 and self.n_qubits < 2:
             raise SpecError("n_qubits", "amplification needs at least 2 data qubits")
 

@@ -44,7 +44,6 @@ from grover_kit.circuit import (
     run,
 )
 from grover_kit.geometry import (
-    MAX_REPORT_ITERATIONS,
     data_state,
     grover_angles,
     iteration_report,
@@ -55,16 +54,19 @@ from grover_kit.geometry import (
     plane_decompose,
     predicted_success,
 )
-from grover_kit.sampling import MAX_SEED, measure_all
-from grover_kit.statevector import MAX_QUBITS, StateVector
+from grover_kit.sampling import check_shots_and_seed, measure_all
+from grover_kit.statevector import StateVector, check_n_qubits
 
 FORMAT_VERSION = "1"
 SEED_ENV_VAR = "GROVER_KIT_SEED"
 AMPLITUDE_CUTOFF = 1e-12
 
 _STYLE_FLAGS = {"mcz": OracleStyle.MCZ_DIRECT, "mcx-ancilla": OracleStyle.MCX_ANCILLA}
-# GroverSpec field named by a SpecError -> the flag that supplied it.
-_SPEC_FLAGS = {"n_qubits": "--n", "marked": "--marked", "iterations": "--iterations"}
+# Field named by a SpecError -> the flag that supplied it.
+_SPEC_FLAGS = {
+    "n_qubits": "--n", "marked": "--marked", "iterations": "--iterations", "m": "--m",
+    "k_max": "--kmax", "shots": "--shots", "seed": "--seed",
+}
 _TRACE_COLUMNS = ["step", "label", "bitstring", "re", "im"]
 # Leaf names of nested summary keys in run's CSV; other nested keys prefix their leaves.
 _CSV_NAMES = {"p_per_marked": "p({})", "plane": "{}", "oblique": "{}"}
@@ -97,10 +99,7 @@ def _validate_spec_args(args) -> GroverSpec:
     given and error messages quote them as typed.
     """
     iterations = getattr(args, "iterations", 0)
-    try:
-        spec = GroverSpec(args.n, tuple(args.marked), iterations, _STYLE_FLAGS[args.style])
-    except SpecError as err:
-        raise UsageError(f"{_SPEC_FLAGS[err.field]}: {err}") from None
+    spec = GroverSpec(args.n, tuple(args.marked), iterations, _STYLE_FLAGS[args.style])
     bit_order = getattr(args, "bit_order", "msb")
     return replace(spec, marked=tuple(_oriented(bits, bit_order) for bits in spec.marked))
 
@@ -148,14 +147,13 @@ def _complex_entry(z: complex, precision: int) -> dict:
     return {"re": _r(z.real, precision), "im": _r(z.imag, precision)}
 
 
-def _fmt(value: float, precision: int) -> str:
-    return f"{value:.{precision}f}"
-
-
-def _fmt_complex(z: complex, precision: int) -> str:
-    if abs(z.imag) <= AMPLITUDE_CUTOFF:
-        return _fmt(z.real, precision)
-    return f"{_fmt(z.real, precision)}{z.imag:+.{precision}f}j"
+def _fmt(value: float | dict, precision: int) -> str:
+    """A rounded number, or a rounded {re, im} entry as ``re`` or ``re+imj``."""
+    if not isinstance(value, dict):
+        return f"{value:.{precision}f}"
+    if abs(value["im"]) <= AMPLITUDE_CUTOFF:
+        return _fmt(value["re"], precision)
+    return f"{_fmt(value['re'], precision)}{value['im']:+.{precision}f}j"
 
 
 def _nonzero(values: np.ndarray, n_qubits: int, bit_order: str) -> list[tuple[str, object]]:
@@ -187,8 +185,7 @@ def _trace_lines(rows: list[dict], precision: int) -> Iterable[str]:
         span = f"op {first}" if first == last else f"ops {first}..{last}"
         yield f"step {row['step']}  [{row['label']}]  {span}"
         for entry in row["state"]:
-            z = complex(entry["re"], entry["im"])
-            yield f"  |{entry['bitstring']}>  {_fmt_complex(z, precision)}"
+            yield f"  |{entry['bitstring']}>  {_fmt(entry, precision)}"
 
 
 def _with_trace(report: Report, trace_rows: list[dict] | None, summary, precision: int) -> Report:
@@ -208,21 +205,14 @@ def _with_trace(report: Report, trace_rows: list[dict] | None, summary, precisio
 
 
 def _resolve_seed(args) -> int:
+    """--seed, else $GROVER_KIT_SEED, else 0; `check_shots_and_seed` checks the range."""
     if args.seed is not None:
-        seed = args.seed
-        source = "--seed"
-    else:
-        raw = os.environ.get(SEED_ENV_VAR)
-        if raw is None:
-            return 0
-        try:
-            seed = int(raw)
-        except ValueError:
-            raise UsageError(f"{SEED_ENV_VAR}: not an integer: {raw!r}") from None
-        source = SEED_ENV_VAR
-    if not 0 <= seed <= MAX_SEED:
-        raise UsageError(f"{source}: seed must be a 64-bit non-negative integer, got {seed}")
-    return seed
+        return args.seed
+    raw = os.environ.get(SEED_ENV_VAR, "0")
+    try:
+        return int(raw)
+    except ValueError:
+        raise UsageError(f"{SEED_ENV_VAR}: not an integer: {raw!r}") from None
 
 
 def cmd_run(args) -> Report:
@@ -234,7 +224,6 @@ def cmd_run(args) -> Report:
     coords = plane_decompose(data, spec.marked)
     c_p, c_r = oblique_coords(data, spec.marked)
     angles = grover_angles(spec.n_qubits, spec.n_marked)
-    angle = plane_angle(coords)
     per_marked = {
         _oriented(b, args.bit_order): _r(data.probability(b), p) for b in spec.marked
     }
@@ -251,24 +240,20 @@ def cmd_run(args) -> Report:
             "a_unmarked": _complex_entry(coords.a_unmarked, p),
             "residual_norm": _r(coords.residual_norm, p),
         },
-        "angle": _r(angle, p),
+        "angle": _r(plane_angle(coords), p),
         "oblique": {"c_p": _complex_entry(c_p, p), "c_r": _complex_entry(c_r, p)},
     }
+    scalars = ("theta_sin", "theta_cos", "p_marked_total", "p_marked_formula")
     lines = [
         f"n: {spec.n_qubits}",
         f"marked: {' '.join(per_marked)}",
         f"iterations: {spec.iterations}",
         f"style: {args.style}",
-        f"theta_sin: {_fmt(angles.theta_sin, p)}",
-        f"theta_cos: {_fmt(angles.theta_cos, p)}",
-        f"p_marked_total: {_fmt(summary['p_marked_total'], p)}",
-        f"p_marked_formula: {_fmt(summary['p_marked_formula'], p)}",
-        *(f"p({b}): {_fmt(v, p)}" for b, v in per_marked.items()),
-        f"a_marked: {_fmt_complex(coords.a_marked, p)}",
-        f"a_unmarked: {_fmt_complex(coords.a_unmarked, p)}",
-        f"residual_norm: {_fmt(coords.residual_norm, p)}",
-        f"angle: {_fmt(angle, p)}",
-        f"oblique: c_p={_fmt_complex(c_p, p)} c_r={_fmt_complex(c_r, p)}",
+        *(f"{key}: {_fmt(summary[key], p)}" for key in scalars),
+        *(f"p({bits}): {_fmt(value, p)}" for bits, value in per_marked.items()),
+        *(f"{key}: {_fmt(value, p)}" for key, value in summary["plane"].items()),
+        f"angle: {_fmt(summary['angle'], p)}",
+        "oblique: " + " ".join(f"{key}={_fmt(z, p)}" for key, z in summary["oblique"].items()),
     ]
     table = [list(leaf) for leaf in _flatten(summary)]
     doc = _document("run", _spec_echo(spec, args), [summary])
@@ -277,9 +262,6 @@ def cmd_run(args) -> Report:
 
 
 def cmd_sweep(args) -> Report:
-    if not 0 <= args.kmax <= MAX_REPORT_ITERATIONS:
-        raise UsageError(f"--kmax: must be in 0..{MAX_REPORT_ITERATIONS}, got {args.kmax}")
-    args.iterations = args.kmax
     spec = _validate_spec_args(args)
     rows = iteration_report(spec, args.kmax)
     p = args.precision
@@ -294,24 +276,15 @@ def cmd_sweep(args) -> Report:
         f"{row.k:>3}  " + "  ".join(f"{getattr(row, f):>{w}.{p}f}" for f, w in zip(fields, widths))
         for row in rows
     ]
-    return Report(
-        _document("sweep", _spec_echo(spec, args), records), *_records_table(records), lines
-    )
+    echo = _spec_echo(replace(spec, iterations=args.kmax), args)
+    return Report(_document("sweep", echo, records), *_records_table(records), lines)
 
 
 def cmd_predict(args) -> Report:
-    if not 1 <= args.n <= MAX_QUBITS:
-        raise UsageError(f"--n: must be in 1..{MAX_QUBITS}, got {args.n}")
-    if not 1 <= args.m < (1 << args.n):
-        raise UsageError(f"--m: must be in 1..2^n - 1 = {(1 << args.n) - 1}, got {args.m}")
-    if args.optimal:
-        k = optimal_iterations(args.n, args.m)
-    else:
-        if args.iterations < 0:
-            raise UsageError(f"--iterations: must be >= 0, got {args.iterations}")
-        k = args.iterations
-    p = args.precision
+    check_n_qubits(args.n)
     angles = grover_angles(args.n, args.m)
+    k = optimal_iterations(args.n, args.m) if args.optimal else args.iterations
+    p = args.precision
     result = {
         "n": args.n,
         "m": args.m,
@@ -336,9 +309,8 @@ def cmd_predict(args) -> Report:
 
 def cmd_sample(args) -> Report:
     spec = _validate_spec_args(args)
-    if args.shots < 1:
-        raise UsageError(f"--shots: must be >= 1, got {args.shots}")
     seed = _resolve_seed(args)
+    check_shots_and_seed(args.shots, seed)
     final = run(build_grover_circuit(spec))
     histogram = measure_all(final, args.shots, seed, n_data=spec.n_qubits)
     records = [
@@ -481,6 +453,12 @@ def main(argv: list[str] | None = None) -> int:
         if not 0 <= precision <= 17:
             raise UsageError(f"--precision: must be in 0..17, got {precision}")
         _emit(args.func(args), getattr(args, "format", "text"))
+    except SpecError as err:
+        flag = _SPEC_FLAGS[err.field]
+        if err.field == "seed" and args.seed is None:
+            flag = SEED_ENV_VAR  # the seed came from the environment
+        print(f"error: {flag}: {err}", file=sys.stderr)
+        return 2
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -16,13 +16,13 @@ alongside because sweep tables are often written in terms of it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
 from grover_kit.circuit import GroverSpec, OracleStyle, build_grover_circuit, grover_iteration, run
-from grover_kit.statevector import StateVector, bitstring_to_index
+from grover_kit.statevector import SpecError, StateVector, bitstring_to_index
 
 ANCILLA_FACTOR_TOL = 1e-9
 MAX_REPORT_ITERATIONS = 64
@@ -70,14 +70,10 @@ class IterationRow:
     p_each_unmarked: float
 
 
-def _check_m(n_qubits: int, m: int) -> None:
-    if not 1 <= m < (1 << n_qubits):
-        raise ValueError(f"marked count must be in 1..2^{n_qubits} - 1, got {m}")
-
-
 def grover_angles(n_qubits: int, m: int) -> GroverAngles:
     """Rotation angles for m marked strings out of 2^n_qubits."""
-    _check_m(n_qubits, m)
+    if not 1 <= m < (1 << n_qubits):
+        raise SpecError("m", f"marked count must be in 1..2^{n_qubits} - 1, got {m}")
     ratio = math.sqrt(m / (1 << n_qubits))
     return GroverAngles(
         theta_sin=math.asin(ratio), theta_cos=math.acos(ratio), m=m, n=n_qubits
@@ -87,7 +83,7 @@ def grover_angles(n_qubits: int, m: int) -> GroverAngles:
 def predicted_success(n_qubits: int, m: int, iterations: int) -> float:
     """Closed-form probability of the marked set after `iterations` steps."""
     if iterations < 0:
-        raise ValueError(f"iterations must be >= 0, got {iterations}")
+        raise SpecError("iterations", f"iterations must be >= 0, got {iterations}")
     theta = grover_angles(n_qubits, m).theta_sin
     return math.sin((2 * iterations + 1) * theta) ** 2
 
@@ -213,10 +209,10 @@ def iteration_report(spec: GroverSpec, k_max: int) -> list[IterationRow]:
     reusing the evolving state instead of recompiling from scratch.
     """
     if not 0 <= k_max <= MAX_REPORT_ITERATIONS:
-        raise ValueError(f"k_max must be in 0..{MAX_REPORT_ITERATIONS}, got {k_max}")
+        raise SpecError("k_max", f"k_max must be in 0..{MAX_REPORT_ITERATIONS}, got {k_max}")
+    spec = replace(spec, iterations=k_max)  # SpecError("n_qubits") when n=1 and k_max >= 1
     angles = grover_angles(spec.n_qubits, spec.n_marked)
-    prologue = GroverSpec(spec.n_qubits, spec.marked, 0, spec.style)
-    state = run(build_grover_circuit(prologue))
+    state = run(build_grover_circuit(replace(spec, iterations=0)))
     block = grover_iteration(spec) if k_max >= 1 else None
     rows: list[IterationRow] = []
     for k in range(k_max + 1):

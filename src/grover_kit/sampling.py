@@ -7,9 +7,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from grover_kit.statevector import StateVector, index_to_bitstring
+from grover_kit.statevector import SpecError, StateVector, index_to_bitstring
 
 MAX_SEED = (1 << 64) - 1
+# measure_all holds about 24 bytes per shot (draws, outcomes, data outcomes): 25 MiB at 2^20.
+MAX_SHOTS = 1 << 20
+
+
+def check_shots_and_seed(shots: int, seed: int) -> None:
+    """Raise SpecError("shots") or SpecError("seed") unless measure_all accepts both."""
+    if not 1 <= shots <= MAX_SHOTS:
+        raise SpecError("shots", f"shots must be in 1..{MAX_SHOTS}, got {shots}")
+    if not 0 <= seed <= MAX_SEED:
+        raise SpecError("seed", f"seed must be a 64-bit non-negative integer, got {seed}")
 
 
 @dataclass(frozen=True)
@@ -41,10 +51,7 @@ def measure_all(
     is divided by its own total, so a norm that rounds below 1 cannot send
     a draw to an outcome of probability 0.
     """
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
-    if not 0 <= seed <= MAX_SEED:
-        raise ValueError(f"seed must be a 64-bit non-negative integer, got {seed}")
+    check_shots_and_seed(shots, seed)
     if n_data is None:
         n_data = state.n_qubits
     if not 1 <= n_data <= state.n_qubits:

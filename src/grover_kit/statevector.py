@@ -25,11 +25,21 @@ NORM_TOL = 1e-9
 _SQRT2_INV = 1.0 / np.sqrt(2.0)
 
 
-def _check_n_qubits(n_qubits) -> None:
-    """Raise ValueError unless `n_qubits` is an integer (not a bool) in 1..MAX_QUBITS."""
+class SpecError(ValueError):
+    """An argument fails validation; `field` names it (a GroverSpec field or a parameter)."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
+        self.field = field
+
+
+def check_n_qubits(n_qubits, ancillas: int = 0) -> None:
+    """Raise SpecError("n_qubits") unless `n_qubits` is an integer (not a bool) in
+    1..MAX_QUBITS that leaves room for `ancillas` more wires."""
     is_int = isinstance(n_qubits, (int, np.integer)) and not isinstance(n_qubits, bool)
-    if not (is_int and 1 <= n_qubits <= MAX_QUBITS):
-        raise ValueError(f"n_qubits must be an integer in 1..{MAX_QUBITS}, got {n_qubits!r}")
+    if not (is_int and 1 <= n_qubits <= MAX_QUBITS - ancillas):
+        limit = f"1..{MAX_QUBITS - ancillas}" + (f" (plus {ancillas} ancilla)" if ancillas else "")
+        raise SpecError("n_qubits", f"n_qubits must be an integer in {limit}, got {n_qubits!r}")
 
 
 def bitstring_to_index(bits: str) -> int:
@@ -52,7 +62,7 @@ class StateVector:
     __slots__ = ("n_qubits", "_amps")
 
     def __init__(self, n_qubits: int, amps: np.ndarray, *, copy: bool = True):
-        _check_n_qubits(n_qubits)
+        check_n_qubits(n_qubits)
         arr = np.asarray(amps, dtype=np.complex128)
         if arr.shape != (1 << n_qubits,):
             raise ValueError(
@@ -96,7 +106,7 @@ class StateVector:
 
 def zero_state(n_qubits: int) -> StateVector:
     """|0...0> on n_qubits qubits."""
-    _check_n_qubits(n_qubits)
+    check_n_qubits(n_qubits)
     amps = np.zeros(1 << n_qubits, dtype=np.complex128)
     amps[0] = 1.0
     return StateVector(n_qubits, amps, copy=False)

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grover_kit.circuit import (
+    MAX_ITERATIONS,
     Circuit,
     GroverSpec,
     MultiControlled,
@@ -21,7 +22,20 @@ from grover_kit.circuit import (
     op_to_text,
     run,
 )
-from grover_kit.statevector import StateVector, bitstring_to_index, ket, zero_state
+from grover_kit.geometry import (
+    grover_angles,
+    iteration_report,
+    optimal_iterations,
+    predicted_success,
+)
+from grover_kit.sampling import MAX_SHOTS, measure_all
+from grover_kit.statevector import (
+    MAX_QUBITS,
+    StateVector,
+    bitstring_to_index,
+    ket,
+    zero_state,
+)
 
 RNG = np.random.default_rng(20240818)
 
@@ -110,6 +124,39 @@ def test_grover_spec_validation():
     with pytest.raises(SpecError) as err:
         GroverSpec(True, ("1",), 0)
     assert err.value.field == "n_qubits"
+
+
+SPEC_ERRORS = {
+    "grover_angles-m": (lambda: grover_angles(3, 8), "m"),
+    "predicted_success-iterations": (lambda: predicted_success(3, 1, -1), "iterations"),
+    "iteration_report-k_max": (lambda: iteration_report(GroverSpec(3, ("001",), 0), 65), "k_max"),
+    "iteration_report-n1": (lambda: iteration_report(GroverSpec(1, ("1",), 0), 1), "n_qubits"),
+    "measure_all-shots-zero": (lambda: measure_all(ket("00"), 0, 1), "shots"),
+    "measure_all-shots-high": (lambda: measure_all(ket("00"), MAX_SHOTS + 1, 1), "shots"),
+    "measure_all-seed": (lambda: measure_all(ket("00"), 10, 1 << 64), "seed"),
+    "GroverSpec-ancilla-width": (
+        lambda: GroverSpec(MAX_QUBITS, ("0" * MAX_QUBITS,), 0, OracleStyle.MCX_ANCILLA),
+        "n_qubits",
+    ),
+    "GroverSpec-iterations-high": (
+        lambda: GroverSpec(2, ("01",), MAX_ITERATIONS + 1),
+        "iterations",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPEC_ERRORS))
+def test_spec_error_names_field(name):
+    call, field = SPEC_ERRORS[name]
+    with pytest.raises(SpecError) as err:
+        call()
+    assert err.value.field == field
+
+
+def test_limits_admit_the_optimal_run():
+    assert optimal_iterations(MAX_QUBITS, 1) <= MAX_ITERATIONS
+    GroverSpec(MAX_QUBITS - 1, ("0" * (MAX_QUBITS - 1),), MAX_ITERATIONS, OracleStyle.MCX_ANCILLA)
+    GroverSpec(MAX_QUBITS, ("0" * MAX_QUBITS,), MAX_ITERATIONS)
 
 
 def test_mcz_oracle_is_diagonal_sign_flip():

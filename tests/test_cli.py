@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from grover_kit import cli
 from grover_kit.cli import main
 
 EXPECTED_TRACE_LABELS = [
@@ -74,6 +75,21 @@ def test_run_rejects_oversized_register(capsys):
     code, _, err = run_cli(capsys, "run", "--n", "27", "--marked", "0" * 27, "--iterations", "1")
     assert code == 2
     assert "--n" in err
+
+
+@pytest.mark.parametrize("command", [["run"], ["dump"], ["sweep", "--kmax", "1"]])
+def test_ancilla_register_too_wide(capsys, command):
+    argv = [*command, "--n", "26", "--marked", "0" * 26, "--style", "mcx-ancilla"]
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: --n:")
+
+
+def test_run_rejects_iterations_above_limit(capsys):
+    code, out, err = run_cli(capsys, "run", "--n", "2", "--marked", "01", "--iterations", "8193")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --iterations:")
 
 
 def test_run_rejects_bad_characters(capsys):
@@ -188,6 +204,19 @@ def test_sample_rejects_zero_shots(capsys):
     assert "--shots" in err
 
 
+def test_sample_rejects_too_many_shots(capsys, monkeypatch):
+    def no_simulation(*_):
+        raise AssertionError("shots must be checked before the circuit runs")
+
+    monkeypatch.setattr(cli, "run", no_simulation)
+    code, out, err = run_cli(
+        capsys, "sample", "--n", "2", "--marked", "01", "--shots", str((1 << 20) + 1)
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --shots:")
+
+
 def test_sample_seed_from_environment(capsys, monkeypatch):
     monkeypatch.setenv("GROVER_KIT_SEED", "7")
     argv = ("sample", "--n", "3", "--marked", "001", "--iterations", "1", "--shots", "64")
@@ -205,6 +234,13 @@ def test_sample_bad_environment_seed(capsys, monkeypatch):
     )
     assert code == 2
     assert "GROVER_KIT_SEED" in err
+
+
+def test_sample_out_of_range_environment_seed(capsys, monkeypatch):
+    monkeypatch.setenv("GROVER_KIT_SEED", str(1 << 64))
+    code, _, err = run_cli(capsys, "sample", "--n", "2", "--marked", "01", "--shots", "8")
+    assert code == 2
+    assert err.startswith("error: GROVER_KIT_SEED:")
 
 
 def test_bit_order_lsb_round_trip(capsys):

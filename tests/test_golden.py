@@ -81,6 +81,7 @@ def _cases() -> dict[str, tuple[list[str], str | None]]:
     errors = {
         "n-too-large": ["run", "--n", "27", "--marked", "0" * 27],
         "n-zero": ["run", "--n", "0", "--marked", "0"],
+        "n-ancilla-too-wide": ["dump", "--n", "26", "--marked", "0" * 26, "--style", "mcx-ancilla"],
         "marked-length": ["run", "--n", "3", "--marked", "01"],
         "marked-length-lsb": ["run", "--n", "3", "--marked", "0111", "--bit-order", "lsb"],
         "marked-chars": ["run", "--n", "3", "--marked", "0a1"],
