@@ -34,17 +34,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from grover_kit.statevector import (
+    MAX_ITERATIONS,
     SpecError,
     StateVector,
     _apply_multicontrolled_inplace,
     _apply_single_inplace,
+    check_iterations,
     check_n_qubits,
     zero_state,
 )
 
 MAX_DENSE_QUBITS = 10
-# Covers the optimal k of every allowed width: optimal_iterations(26, 1) is 6433.
-MAX_ITERATIONS = 8192
 
 
 def _check_index(q) -> None:
@@ -153,13 +153,8 @@ class GroverSpec:
             count = f"got {len(marked)} for n={self.n_qubits}"
             raise SpecError("marked", f"need between 1 and 2^n - 1 marked strings, {count}")
         object.__setattr__(self, "marked", tuple(sorted(marked, key=lambda b: int(b, 2))))
-        k = self.iterations
-        is_int = isinstance(k, (int, np.integer)) and not isinstance(k, bool)
-        if not (is_int and 0 <= k <= MAX_ITERATIONS):
-            raise SpecError(
-                "iterations", f"iterations must be an integer in 0..{MAX_ITERATIONS}, got {k!r}"
-            )
-        if k >= 1 and self.n_qubits < 2:
+        check_iterations(self.iterations)
+        if self.iterations >= 1 and self.n_qubits < 2:
             raise SpecError("n_qubits", "amplification needs at least 2 data qubits")
 
     @property
@@ -191,8 +186,7 @@ def _grover_blocks(spec: GroverSpec) -> tuple[Labelled, Labelled]:
     (controlled gate), "2.3[bits]" (X flips undone). Step 3 is "3.1" H
     layer, "3.2" X layer, "3.3" MCZ, "3.4" X layer, "3.5" H layer. In the
     full circuit the block labels carry the 1-based iteration as a prefix,
-    e.g. "k2 3.4". Runs of ops sharing a label are the natural snapshot
-    boundaries for traces.
+    e.g. "k2 3.4". Runs of ops sharing a label are the steps of a trace.
 
     One data qubit leaves no room for a controlled gate, so the block is
     empty then; GroverSpec already refuses iterations >= 1 for it.
@@ -287,16 +281,13 @@ def _apply(amps: np.ndarray, n_qubits: int, op: GateOp) -> None:
         _apply_multicontrolled_inplace(amps, n_qubits, op.base, op.controls, op.target)
 
 
-def run(
-    circuit: Circuit,
-    initial: StateVector | None = None,
-    trace: bool = False,
-) -> StateVector | tuple[StateVector, list[StateVector]]:
-    """Apply every op in order. Exact, no renormalization.
+def run(circuit: Circuit, initial: StateVector | None = None) -> StateVector:
+    """Apply every op in order to `initial` (default |0...0>). Exact, no renormalization.
 
-    With trace=True returns (final, snapshots) where snapshots[i] is the
-    state after ops[i]; each snapshot is validated on construction, so a
-    norm drift anywhere raises instead of propagating.
+    The result is validated on construction, so a norm drift raises instead
+    of propagating. Running consecutive slices of a circuit, each from the
+    previous result, gives amplitudes identical to one run of the whole
+    circuit; that is how intermediate states are observed.
     """
     if initial is None:
         initial = zero_state(circuit.n_qubits)
@@ -305,15 +296,9 @@ def run(
             f"initial state has {initial.n_qubits} qubits, circuit has {circuit.n_qubits}"
         )
     amps = initial.amps.copy()
-    snapshots: list[StateVector] = []
     for op in circuit.ops:
         _apply(amps, circuit.n_qubits, op)
-        if trace:
-            snapshots.append(StateVector(circuit.n_qubits, amps, copy=True))
-    final = StateVector(circuit.n_qubits, amps, copy=False)
-    if trace:
-        return final, snapshots
-    return final
+    return StateVector(circuit.n_qubits, amps, copy=False)
 
 
 def dense_unitary(circuit: Circuit) -> np.ndarray:

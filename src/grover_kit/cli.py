@@ -33,6 +33,7 @@ import numpy as np
 
 from grover_kit import __version__
 from grover_kit.circuit import (
+    Circuit,
     GroverSpec,
     OracleStyle,
     SpecError,
@@ -55,11 +56,14 @@ from grover_kit.geometry import (
     predicted_success,
 )
 from grover_kit.sampling import check_shots_and_seed, measure_all
-from grover_kit.statevector import StateVector, check_n_qubits
+from grover_kit.statevector import StateVector, check_n_qubits, zero_state
 
 FORMAT_VERSION = "1"
 SEED_ENV_VAR = "GROVER_KIT_SEED"
 AMPLITUDE_CUTOFF = 1e-12
+# --trace keeps up to steps x 2^wires amplitudes. A json trace peaks near 1.1 KiB of RSS
+# per amplitude (measured at n=14), so about 1.2 GiB at this limit.
+MAX_TRACE_AMPLITUDES = 1 << 20
 
 _STYLE_FLAGS = {"mcz": OracleStyle.MCZ_DIRECT, "mcx-ancilla": OracleStyle.MCX_ANCILLA}
 # Field named by a SpecError -> the flag that supplied it.
@@ -165,18 +169,24 @@ def _nonzero(values: np.ndarray, n_qubits: int, bit_order: str) -> list[tuple[st
 
 
 def _simulate(circuit, labels, args) -> tuple[StateVector, list[dict] | None]:
-    """Run `circuit` on |0...0>; with --trace also one row per run of equal `labels()`."""
+    """Run `circuit` on |0...0>; with --trace, one slice and one row per run of equal `labels()`."""
     if not args.trace:
         return run(circuit), None
-    final, snapshots = run(circuit, trace=True)
-    rows, first = [], 0
-    for step, (label, group) in enumerate(itertools.groupby(labels())):
-        last = first + sum(1 for _ in group) - 1
-        state = _nonzero(snapshots[last].amps, circuit.n_qubits, args.bit_order)
-        entries = [{"bitstring": b, **_complex_entry(z, args.precision)} for b, z in state]
+    n = circuit.n_qubits
+    steps = [(label, sum(1 for _ in group)) for label, group in itertools.groupby(labels())]
+    if len(steps) << n > MAX_TRACE_AMPLITUDES:
+        raise UsageError(
+            f"--trace: {len(steps)} steps x 2^{n} amplitudes exceed {MAX_TRACE_AMPLITUDES}"
+        )
+    state, rows, first = zero_state(n), [], 0
+    for step, (label, size) in enumerate(steps):
+        last = first + size - 1
+        state = run(Circuit(n, circuit.ops[first:last + 1]), state)
+        nonzero = _nonzero(state.amps, n, args.bit_order)
+        entries = [{"bitstring": b, **_complex_entry(z, args.precision)} for b, z in nonzero]
         rows.append({"step": step, "label": label, "ops": [first, last], "state": entries})
         first = last + 1
-    return final, rows
+    return state, rows
 
 
 def _trace_lines(rows: list[dict], precision: int) -> Iterable[str]:
@@ -311,8 +321,8 @@ def cmd_sample(args) -> Report:
     spec = _validate_spec_args(args)
     seed = _resolve_seed(args)
     check_shots_and_seed(args.shots, seed)
-    final = run(build_grover_circuit(spec))
-    histogram = measure_all(final, args.shots, seed, n_data=spec.n_qubits)
+    final = data_state(run(build_grover_circuit(spec)), spec)
+    histogram = measure_all(final, args.shots, seed)
     records = [
         {"bitstring": _oriented(bits, args.bit_order), "count": count}
         for bits, count in histogram.counts.items()
@@ -405,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="simulate and report probabilities and plane geometry")
     _add_spec_flags(p_run)
-    p_run.add_argument("--trace", action="store_true", help="emit grouped per-step snapshots")
+    p_run.add_argument("--trace", action="store_true", help="emit the state after each step")
     _add_output_flags(p_run)
     p_run.set_defaults(func=cmd_run)
 

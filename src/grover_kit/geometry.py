@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from grover_kit.circuit import GroverSpec, OracleStyle, build_grover_circuit, grover_iteration, run
-from grover_kit.statevector import SpecError, StateVector, bitstring_to_index
+from grover_kit.statevector import SpecError, StateVector, bitstring_to_index, check_iterations
 
 ANCILLA_FACTOR_TOL = 1e-9
 MAX_REPORT_ITERATIONS = 64
@@ -81,9 +81,8 @@ def grover_angles(n_qubits: int, m: int) -> GroverAngles:
 
 
 def predicted_success(n_qubits: int, m: int, iterations: int) -> float:
-    """Closed-form probability of the marked set after `iterations` steps."""
-    if iterations < 0:
-        raise SpecError("iterations", f"iterations must be >= 0, got {iterations}")
+    """Closed-form probability of the marked set after `iterations` steps (0..MAX_ITERATIONS)."""
+    check_iterations(iterations)
     theta = grover_angles(n_qubits, m).theta_sin
     return math.sin((2 * iterations + 1) * theta) ** 2
 

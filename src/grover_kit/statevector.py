@@ -20,6 +20,8 @@ from __future__ import annotations
 import numpy as np
 
 MAX_QUBITS = 26
+# Covers the optimal k of every allowed width: optimal_iterations(26, 1) is 6433.
+MAX_ITERATIONS = 8192
 NORM_TOL = 1e-9
 
 _SQRT2_INV = 1.0 / np.sqrt(2.0)
@@ -40,6 +42,15 @@ def check_n_qubits(n_qubits, ancillas: int = 0) -> None:
     if not (is_int and 1 <= n_qubits <= MAX_QUBITS - ancillas):
         limit = f"1..{MAX_QUBITS - ancillas}" + (f" (plus {ancillas} ancilla)" if ancillas else "")
         raise SpecError("n_qubits", f"n_qubits must be an integer in {limit}, got {n_qubits!r}")
+
+
+def check_iterations(k) -> None:
+    """Raise SpecError("iterations") unless `k` is an integer (not a bool) in 0..MAX_ITERATIONS."""
+    is_int = isinstance(k, (int, np.integer)) and not isinstance(k, bool)
+    if not (is_int and 0 <= k <= MAX_ITERATIONS):
+        raise SpecError(
+            "iterations", f"iterations must be an integer in 0..{MAX_ITERATIONS}, got {k!r}"
+        )
 
 
 def bitstring_to_index(bits: str) -> int:

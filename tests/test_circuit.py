@@ -129,6 +129,10 @@ def test_grover_spec_validation():
 SPEC_ERRORS = {
     "grover_angles-m": (lambda: grover_angles(3, 8), "m"),
     "predicted_success-iterations": (lambda: predicted_success(3, 1, -1), "iterations"),
+    "predicted_success-iterations-high": (
+        lambda: predicted_success(3, 1, MAX_ITERATIONS + 1),
+        "iterations",
+    ),
     "iteration_report-k_max": (lambda: iteration_report(GroverSpec(3, ("001",), 0), 65), "k_max"),
     "iteration_report-n1": (lambda: iteration_report(GroverSpec(1, ("1",), 0), 1), "n_qubits"),
     "measure_all-shots-zero": (lambda: measure_all(ket("00"), 0, 1), "shots"),
@@ -261,16 +265,6 @@ def test_run_initial_width_mismatch():
         run(circuit, zero_state(2))
 
 
-def test_run_trace_snapshots():
-    circuit = random_circuit(3, 12)
-    final, snapshots = run(circuit, trace=True)
-    assert len(snapshots) == 12
-    assert np.allclose(final.amps, snapshots[-1].amps)
-    # each snapshot is a valid normalized state
-    for snap in snapshots:
-        assert np.isclose(np.linalg.norm(snap.amps), 1.0, atol=1e-9)
-
-
 def test_run_matches_dense_unitary():
     for _ in range(20):
         n = int(RNG.integers(2, 5))
@@ -369,9 +363,9 @@ def test_text_parse_errors_name_the_line():
 
 
 @st.composite
-def circuits(draw):
-    n = draw(st.integers(min_value=2, max_value=6))
-    n_ops = draw(st.integers(min_value=0, max_value=15))
+def circuits(draw, max_qubits=6, max_ops=15):
+    n = draw(st.integers(min_value=2, max_value=max_qubits))
+    n_ops = draw(st.integers(min_value=0, max_value=max_ops))
     ops = []
     for _ in range(n_ops):
         if draw(st.booleans()):
@@ -395,3 +389,17 @@ def circuits(draw):
 @settings(max_examples=200, deadline=None)
 def test_text_round_trip_property(circuit):
     assert circuit_from_text(circuit_to_text(circuit)) == circuit
+
+
+@given(circuits(max_qubits=5, max_ops=25), st.data())
+@settings(max_examples=200, deadline=None)
+def test_run_in_slices_matches_one_run(circuit, data):
+    seed = data.draw(st.integers(0, 2**32))
+    initial = random_state(circuit.n_qubits, np.random.default_rng(seed))
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(circuit)), max_size=6)))
+    state = initial
+    for first, last in zip([0, *cuts], [*cuts, len(circuit)]):
+        state = run(Circuit(circuit.n_qubits, circuit.ops[first:last]), state)
+        # each slice's result is a valid normalized state
+        assert np.isclose(np.linalg.norm(state.amps), 1.0, atol=1e-9)
+    assert np.array_equal(state.amps, run(circuit, initial).amps)

@@ -181,6 +181,17 @@ def test_predict_rejects_full_space(capsys):
     assert "--m" in err
 
 
+def test_predict_iterations_limit(capsys):
+    code, out, _ = run_cli(capsys, "predict", "--n", "2", "--m", "1", "--iterations", "8192")
+    assert code == 0
+    assert "iterations: 8192" in out
+    for k in ("8193", "1" + "0" * 310):
+        code, out, err = run_cli(capsys, "predict", "--n", "2", "--m", "1", "--iterations", k)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --iterations:")
+
+
 def test_sample_reproducible_and_in_interval(capsys):
     argv = (
         "sample", "--n", "5", "--marked", "10100", "--iterations", "1",
@@ -290,6 +301,34 @@ def test_load_from_stdin(capsys, monkeypatch):
     assert code == 0
     assert "p(0): 0.500000" in out
     assert "p(1): 0.500000" in out
+
+
+@pytest.mark.parametrize("wires, code", [(20, 0), (21, 2)])
+def test_load_trace_size_limit(capsys, monkeypatch, wires, code):
+    # one op is one step, so 20 wires is exactly MAX_TRACE_AMPLITUDES
+    monkeypatch.setattr("sys.stdin", io.StringIO(f"# qubits: {wires}\nX 0\n"))
+    got, out, err = run_cli(capsys, "load", "--trace", "--format", "json")
+    assert got == code
+    if code:
+        assert out == ""
+        assert err.startswith("error: --trace:")
+    else:
+        assert json.loads(out)["rows"][0]["state"] == [
+            {"bitstring": "1" + "0" * (wires - 1), "re": 1.0, "im": 0.0}
+        ]
+
+
+def test_run_trace_size_limit(capsys, monkeypatch):
+    def no_simulation(*_):
+        raise AssertionError("the trace size must be checked before the circuit runs")
+
+    monkeypatch.setattr(cli, "run", no_simulation)
+    code, out, err = run_cli(
+        capsys, "run", "--n", "17", "--marked", "0" * 17, "--iterations", "1", "--trace"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --trace:")
 
 
 def test_load_parse_error(capsys, tmp_path):

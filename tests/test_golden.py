@@ -98,6 +98,8 @@ def _cases() -> dict[str, tuple[list[str], str | None]]:
         "predict-n": ["predict", "--n", "27", "--m", "1", "--iterations", "1"],
         "predict-m": ["predict", "--n", "3", "--m", "0", "--iterations", "1"],
         "predict-iterations": ["predict", "--n", "3", "--m", "1", "--iterations", "-2"],
+        "predict-iterations-high": ["predict", "--n", "3", "--m", "1", "--iterations", "8193"],
+        "trace-too-large": ["run", "--n", "17", "--marked", "0" * 17, "--trace"],
         "sample-shots": ["sample", "--n", "3", "--marked", "001", "--shots", "0"],
         "sample-seed-negative": ["sample", "--n", "3", "--marked", "001", "--shots", "3",
                                  "--seed", "-1"],

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from grover_kit.circuit import GroverSpec, OracleStyle, build_grover_circuit, run
-from grover_kit.geometry import predicted_success
+from grover_kit.geometry import predicted_success, strip_ancilla
 from grover_kit.sampling import binomial_interval, measure_all
 from grover_kit.statevector import StateVector, ket
 
@@ -48,13 +48,13 @@ def test_deterministic_state_puts_all_shots_on_it():
 def test_ancilla_marginalized_from_keys():
     data = ket("01")
     full = StateVector(3, np.kron(data.amps, ket("m").amps))
-    hist = measure_all(full, 256, 5, n_data=2)
+    hist = measure_all(strip_ancilla(full), 256, 5)
     assert hist.counts == {"01": 256}
 
 
 def test_marginalization_keeps_distribution():
     state = final_state(3, ("001",), 1, OracleStyle.MCX_ANCILLA)
-    hist = measure_all(state, 4096, 11, n_data=3)
+    hist = measure_all(strip_ancilla(state), 4096, 11)
     assert all(len(k) == 3 for k in hist.counts)
     lo, hi = binomial_interval(predicted_success(3, 1, 1), 4096, 4.0)
     assert lo <= hist.counts["001"] <= hi
@@ -68,10 +68,6 @@ def test_measure_all_validation():
         measure_all(state, 10, -1)
     with pytest.raises(ValueError):
         measure_all(state, 10, 1 << 64)
-    with pytest.raises(ValueError):
-        measure_all(state, 10, 1, n_data=0)
-    with pytest.raises(ValueError):
-        measure_all(state, 10, 1, n_data=3)
 
 
 def test_convergence_to_closed_form():
