@@ -1,8 +1,9 @@
 """Gate circuits for Grover search: compilation, execution, serialization.
 
-A circuit is a fixed qubit count plus an ordered tuple of gate ops drawn
-from {H, X, Z, MCX, MCZ}. Compilers produce phase oracles for a set of
-marked bitstrings in two interchangeable styles:
+A circuit is a fixed qubit count plus an ordered tuple of `Gate` ops. A
+`Gate` is H, X or Z on a target qubit; X and Z may also carry control
+qubits, which makes them MCX and MCZ. Compilers produce phase oracles for a
+set of marked bitstrings in two interchangeable styles:
 
 * ``mcz``: width n, the oracle is an X-sandwich around a multi-controlled Z
   acting on the data qubits themselves.
@@ -22,8 +23,10 @@ Text format (one op per line, ``#`` starts a comment)::
     MCX c=0,1 t=2
     MCZ c=0 t=1
 
-The ``# qubits: N`` header records the width so that trailing idle qubits
-survive a round trip; without it the width is inferred as max index + 1.
+``H 0`` parses to ``Gate("H", 0)`` and ``MCX c=0,1 t=2`` to
+``Gate("X", 2, (0, 1))``. The ``# qubits: N`` header records the width so
+that trailing idle qubits survive a round trip; without it the width is
+inferred as max index + 1.
 """
 
 from __future__ import annotations
@@ -41,7 +44,6 @@ from grover_kit.statevector import (
     _apply_single_inplace,
     check_iterations,
     check_n_qubits,
-    zero_state,
 )
 
 MAX_DENSE_QUBITS = 10
@@ -53,40 +55,25 @@ def _check_index(q) -> None:
 
 
 @dataclass(frozen=True)
-class Single:
-    """One H, X or Z gate on a single qubit."""
+class Gate:
+    """H, X or Z on `target`, applied only where every control qubit is 1.
+
+    X and Z may carry controls (MCX, MCZ); H may not.
+    """
 
     kind: str
     target: int
+    controls: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if self.kind not in ("H", "X", "Z"):
-            raise ValueError(f"unknown single-qubit gate {self.kind!r}, expected H, X or Z")
-        _check_index(self.target)
-
-    @property
-    def qubits(self) -> tuple[int, ...]:
-        return (self.target,)
-
-
-@dataclass(frozen=True)
-class MultiControlled:
-    """X or Z on `target`, applied only when every control qubit is 1."""
-
-    base: str
-    controls: tuple[int, ...]
-    target: int
-
-    def __post_init__(self):
-        if self.base not in ("X", "Z"):
-            raise ValueError(f"unknown controlled base gate {self.base!r}, expected X or Z")
         object.__setattr__(self, "controls", tuple(self.controls))
-        if not self.controls:
-            raise ValueError("controls must be non-empty")
-        if len(set(self.controls)) != len(self.controls):
-            raise ValueError(f"duplicate control qubits in {self.controls}")
+        kinds = ("X", "Z") if self.controls else ("H", "X", "Z")
+        if self.kind not in kinds:
+            raise ValueError(f"{self.kind!r} with {len(self.controls)} controls is not in {kinds}")
         for q in (*self.controls, self.target):
             _check_index(q)
+        if len(set(self.controls)) != len(self.controls):
+            raise ValueError(f"duplicate control qubits in {self.controls}")
         if self.target in self.controls:
             raise ValueError(f"target {self.target} also listed as a control")
 
@@ -95,15 +82,12 @@ class MultiControlled:
         return (*self.controls, self.target)
 
 
-GateOp = Single | MultiControlled
-
-
 @dataclass(frozen=True)
 class Circuit:
     """Ordered gate ops on a fixed number of qubits."""
 
     n_qubits: int
-    ops: tuple[GateOp, ...]
+    ops: tuple[Gate, ...]
 
     def __post_init__(self):
         check_n_qubits(self.n_qubits)
@@ -168,7 +152,7 @@ class GroverSpec:
         return self.n_qubits + extra
 
 
-Labelled = tuple[tuple[str, GateOp], ...]
+Labelled = tuple[tuple[str, Gate], ...]
 
 
 def _grover_blocks(spec: GroverSpec) -> tuple[Labelled, Labelled]:
@@ -193,20 +177,20 @@ def _grover_blocks(spec: GroverSpec) -> tuple[Labelled, Labelled]:
     """
     n = spec.n_qubits
     ancilla = spec.style is OracleStyle.MCX_ANCILLA
-    prep = (("1.0", Single("X", n)),) if ancilla else ()
-    prep += tuple(("1.1", Single("H", q)) for q in range(spec.circuit_qubits))
+    prep = (("1.0", Gate("X", n)),) if ancilla else ()
+    prep += tuple(("1.1", Gate("H", q)) for q in range(spec.circuit_qubits))
     if n < 2:
         return prep, ()
-    reflect = MultiControlled("Z", tuple(range(n - 1)), n - 1)
-    phase = MultiControlled("X", tuple(range(n)), n) if ancilla else reflect
-    block: list[tuple[str, GateOp]] = []
+    reflect = Gate("Z", n - 1, tuple(range(n - 1)))
+    phase = Gate("X", n, tuple(range(n))) if ancilla else reflect
+    block: list[tuple[str, Gate]] = []
     for bits in spec.marked:
-        flips = [Single("X", q) for q, ch in enumerate(bits) if ch == "0"]
+        flips = [Gate("X", q) for q, ch in enumerate(bits) if ch == "0"]
         block += [(f"2.1[{bits}]", op) for op in flips]
         block.append((f"2.2[{bits}]", phase))
         block += [(f"2.3[{bits}]", op) for op in flips]
-    h_layer = [Single("H", q) for q in range(n)]
-    x_layer = [Single("X", q) for q in range(n)]
+    h_layer = [Gate("H", q) for q in range(n)]
+    x_layer = [Gate("X", q) for q in range(n)]
     for label, layer in (
         ("3.1", h_layer), ("3.2", x_layer), ("3.3", [reflect]), ("3.4", x_layer), ("3.5", h_layer)
     ):
@@ -214,7 +198,7 @@ def _grover_blocks(spec: GroverSpec) -> tuple[Labelled, Labelled]:
     return prep, tuple(block)
 
 
-def _ops(labelled: Labelled, step: str = "") -> tuple[GateOp, ...]:
+def _ops(labelled: Labelled, step: str = "") -> tuple[Gate, ...]:
     """The ops of `labelled` whose label starts with `step`."""
     return tuple(op for label, op in labelled if label.startswith(step))
 
@@ -269,16 +253,17 @@ def grover_step_labels(spec: GroverSpec) -> tuple[str, ...]:
     )
 
 
-def _apply(amps: np.ndarray, n_qubits: int, op: GateOp) -> None:
+def _apply(amps: np.ndarray, n_qubits: int, op: Gate) -> None:
     """Apply one op in place; `amps` may carry trailing batch axes.
 
-    The kernels are looked up as module globals on every call, so a wrapper
-    installed on them from outside sees every op.
+    Uncontrolled and controlled ops go through their own kernel entry points.
+    These are looked up as module globals on every call, so a wrapper
+    installed on them from outside sees every op and can tell X from MCX.
     """
-    if isinstance(op, Single):
-        _apply_single_inplace(amps, n_qubits, op.kind, op.target)
+    if op.controls:
+        _apply_multicontrolled_inplace(amps, n_qubits, op.kind, op.controls, op.target)
     else:
-        _apply_multicontrolled_inplace(amps, n_qubits, op.base, op.controls, op.target)
+        _apply_single_inplace(amps, n_qubits, op.kind, op.target)
 
 
 def run(circuit: Circuit, initial: StateVector | None = None) -> StateVector:
@@ -289,13 +274,15 @@ def run(circuit: Circuit, initial: StateVector | None = None) -> StateVector:
     previous result, gives amplitudes identical to one run of the whole
     circuit; that is how intermediate states are observed.
     """
-    if initial is None:
-        initial = zero_state(circuit.n_qubits)
-    if initial.n_qubits != circuit.n_qubits:
+    if initial is None:  # built in place: no second full state to copy from
+        amps = np.zeros(1 << circuit.n_qubits, dtype=np.complex128)
+        amps[0] = 1.0
+    elif initial.n_qubits != circuit.n_qubits:
         raise ValueError(
             f"initial state has {initial.n_qubits} qubits, circuit has {circuit.n_qubits}"
         )
-    amps = initial.amps.copy()
+    else:
+        amps = initial.amps.copy()
     for op in circuit.ops:
         _apply(amps, circuit.n_qubits, op)
     return StateVector(circuit.n_qubits, amps, copy=False)
@@ -313,12 +300,12 @@ def dense_unitary(circuit: Circuit) -> np.ndarray:
     return out
 
 
-def op_to_text(op: GateOp) -> str:
+def op_to_text(op: Gate) -> str:
     """One-line text form of a single op, as used by the circuit format."""
-    if isinstance(op, Single):
+    if not op.controls:
         return f"{op.kind} {op.target}"
     ctrl = ",".join(str(c) for c in op.controls)
-    return f"MC{op.base} c={ctrl} t={op.target}"
+    return f"MC{op.kind} c={ctrl} t={op.target}"
 
 
 def circuit_to_text(circuit: Circuit) -> str:
@@ -344,7 +331,7 @@ def circuit_from_text(text: str) -> Circuit:
     Errors name the line number and the offending token. Width comes from a
     ``# qubits: N`` comment when present, otherwise max index + 1.
     """
-    ops: list[GateOp] = []
+    ops: list[Gate] = []
     declared_width: int | None = None
     max_index = -1
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -362,12 +349,14 @@ def circuit_from_text(text: str) -> Circuit:
             if mnemonic in ("H", "X", "Z"):
                 if len(args) != 1:
                     raise ValueError(f"{mnemonic} takes exactly one qubit index")
-                op: GateOp = Single(mnemonic, _parse_qubit(args[0]))
+                op = Gate(mnemonic, _parse_qubit(args[0]))
             elif mnemonic in ("MCX", "MCZ"):
                 if len(args) != 2 or not args[0].startswith("c=") or not args[1].startswith("t="):
                     raise ValueError(f"expected '{mnemonic} c=<q,q,...> t=<q>', got {line!r}")
                 controls = tuple(_parse_qubit(q) for q in args[0][2:].split(",") if q)
-                op = MultiControlled(mnemonic[2:], controls, _parse_qubit(args[1][2:]))
+                if not controls:
+                    raise ValueError(f"{mnemonic} needs at least one control")
+                op = Gate(mnemonic[2:], _parse_qubit(args[1][2:]), controls)
             else:
                 raise ValueError(f"unknown gate {mnemonic!r}, expected H, X, Z, MCX or MCZ")
         except (ValueError, IndexError) as exc:

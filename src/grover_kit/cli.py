@@ -56,7 +56,7 @@ from grover_kit.geometry import (
     predicted_success,
 )
 from grover_kit.sampling import check_shots_and_seed, measure_all
-from grover_kit.statevector import StateVector, check_n_qubits, zero_state
+from grover_kit.statevector import StateVector, check_n_qubits
 
 FORMAT_VERSION = "1"
 SEED_ENV_VAR = "GROVER_KIT_SEED"
@@ -71,7 +71,6 @@ _SPEC_FLAGS = {
     "n_qubits": "--n", "marked": "--marked", "iterations": "--iterations", "m": "--m",
     "k_max": "--kmax", "shots": "--shots", "seed": "--seed",
 }
-_TRACE_COLUMNS = ["step", "label", "bitstring", "re", "im"]
 # Leaf names of nested summary keys in run's CSV; other nested keys prefix their leaves.
 _CSV_NAMES = {"p_per_marked": "p({})", "plane": "{}", "oblique": "{}"}
 
@@ -178,7 +177,7 @@ def _simulate(circuit, labels, args) -> tuple[StateVector, list[dict] | None]:
         raise UsageError(
             f"--trace: {len(steps)} steps x 2^{n} amplitudes exceed {MAX_TRACE_AMPLITUDES}"
         )
-    state, rows, first = zero_state(n), [], 0
+    state, rows, first = None, [], 0  # the first slice starts from |0...0>
     for step, (label, size) in enumerate(steps):
         last = first + size - 1
         state = run(Circuit(n, circuit.ops[first:last + 1]), state)
@@ -186,7 +185,7 @@ def _simulate(circuit, labels, args) -> tuple[StateVector, list[dict] | None]:
         entries = [{"bitstring": b, **_complex_entry(z, args.precision)} for b, z in nonzero]
         rows.append({"step": step, "label": label, "ops": [first, last], "state": entries})
         first = last + 1
-    return state, rows
+    return (state if steps else run(circuit)), rows
 
 
 def _trace_lines(rows: list[dict], precision: int) -> Iterable[str]:
@@ -204,7 +203,7 @@ def _with_trace(report: Report, trace_rows: list[dict] | None, summary, precisio
         return report
     return Report(
         {**report.doc, "rows": trace_rows, "summary": summary},
-        _TRACE_COLUMNS,
+        ["step", "label", "bitstring", "re", "im"],
         (
             [row["step"], row["label"], entry["bitstring"], entry["re"], entry["im"]]
             for row in trace_rows
@@ -389,70 +388,54 @@ def _emit(report: Report, fmt: str) -> None:
             print(line)
 
 
-def _add_output_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    parser.add_argument("--precision", type=int, default=6, metavar="DIGITS")
-    parser.add_argument("--bit-order", choices=("msb", "lsb"), default="msb")
-
-
-def _add_spec_flags(parser: argparse.ArgumentParser, *, iterations: bool = True) -> None:
-    parser.add_argument("--n", type=int, required=True, help="data qubit count")
-    parser.add_argument(
+def build_parser() -> argparse.ArgumentParser:
+    # One parent parser per shared flag group; each subcommand lists the groups it takes.
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--format", choices=("text", "json", "csv"), default="text")
+    output.add_argument("--precision", type=int, default=6, metavar="DIGITS")
+    output.add_argument("--bit-order", choices=("msb", "lsb"), default="msb")
+    spec = argparse.ArgumentParser(add_help=False)
+    spec.add_argument("--n", type=int, required=True, help="data qubit count")
+    spec.add_argument(
         "--marked", nargs="+", required=True, metavar="BITS", help="marked bitstrings"
     )
-    if iterations:
-        parser.add_argument("--iterations", type=int, default=1)
-    parser.add_argument("--style", choices=tuple(_STYLE_FLAGS), default="mcz")
+    spec.add_argument("--style", choices=tuple(_STYLE_FLAGS), default="mcz")
+    iterations = argparse.ArgumentParser(add_help=False)
+    iterations.add_argument("--iterations", type=int, default=1)
 
-
-def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="grover-kit",
         description="Simulate and analyze Grover amplitude amplification circuits.",
     )
     parser.add_argument("--version", action="version", version=f"grover-kit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    cmds = {}
+    for name, func, groups, help_text in (
+        ("run", cmd_run, [spec, iterations, output],
+         "simulate and report probabilities and plane geometry"),
+        ("sweep", cmd_sweep, [spec, output], "iteration table, simulated next to closed form"),
+        ("predict", cmd_predict, [output], "closed-form probabilities, no simulation"),
+        ("sample", cmd_sample, [spec, iterations, output],
+         "seeded shot histogram of the final state"),
+        ("dump", cmd_dump, [spec, iterations], "emit the compiled circuit text"),
+        ("load", cmd_load, [output], "parse circuit text, run it on |0...0>"),
+    ):
+        cmds[name] = sub.add_parser(name, parents=groups, help=help_text)
+        cmds[name].set_defaults(func=func)
 
-    p_run = sub.add_parser("run", help="simulate and report probabilities and plane geometry")
-    _add_spec_flags(p_run)
-    p_run.add_argument("--trace", action="store_true", help="emit the state after each step")
-    _add_output_flags(p_run)
-    p_run.set_defaults(func=cmd_run)
-
-    p_sweep = sub.add_parser("sweep", help="iteration table, simulated next to closed form")
-    _add_spec_flags(p_sweep, iterations=False)
-    p_sweep.add_argument("--kmax", type=int, required=True)
-    _add_output_flags(p_sweep)
-    p_sweep.set_defaults(func=cmd_sweep)
-
-    p_predict = sub.add_parser("predict", help="closed-form probabilities, no simulation")
-    p_predict.add_argument("--n", type=int, required=True)
-    p_predict.add_argument("--m", type=int, required=True, help="marked string count")
-    group = p_predict.add_mutually_exclusive_group(required=True)
+    cmds["run"].add_argument("--trace", action="store_true", help="emit the state after each step")
+    cmds["sweep"].add_argument("--kmax", type=int, required=True)
+    predict = cmds["predict"]
+    predict.add_argument("--n", type=int, required=True)
+    predict.add_argument("--m", type=int, required=True, help="marked string count")
+    group = predict.add_mutually_exclusive_group(required=True)
     group.add_argument("--iterations", type=int)
     group.add_argument("--optimal", action="store_true")
-    _add_output_flags(p_predict)
-    p_predict.set_defaults(func=cmd_predict)
-
-    p_sample = sub.add_parser("sample", help="seeded shot histogram of the final state")
-    _add_spec_flags(p_sample)
-    p_sample.add_argument("--shots", type=int, required=True)
-    p_sample.add_argument(
-        "--seed", type=int, default=None, help=f"default: ${SEED_ENV_VAR} or 0"
-    )
-    _add_output_flags(p_sample)
-    p_sample.set_defaults(func=cmd_sample)
-
-    p_dump = sub.add_parser("dump", help="emit the compiled circuit text")
-    _add_spec_flags(p_dump)
-    p_dump.add_argument("--out", default=None, metavar="PATH", help="default: stdout")
-    p_dump.set_defaults(func=cmd_dump)
-
-    p_load = sub.add_parser("load", help="parse circuit text, run it on |0...0>")
-    p_load.add_argument("--file", default=None, metavar="PATH", help="default: stdin")
-    p_load.add_argument("--trace", action="store_true")
-    _add_output_flags(p_load)
-    p_load.set_defaults(func=cmd_load)
+    cmds["sample"].add_argument("--shots", type=int, required=True)
+    cmds["sample"].add_argument("--seed", type=int, help=f"default: ${SEED_ENV_VAR} or 0")
+    cmds["dump"].add_argument("--out", metavar="PATH", help="default: stdout")
+    cmds["load"].add_argument("--file", metavar="PATH", help="default: stdin")
+    cmds["load"].add_argument("--trace", action="store_true")
     return parser
 
 

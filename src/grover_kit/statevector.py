@@ -191,18 +191,20 @@ def _apply_multicontrolled_inplace(
 
 def apply_single(state: StateVector, kind: str, target: int) -> StateVector:
     """New state with H, X or Z applied to `target`. The input is untouched."""
-    from grover_kit.circuit import Circuit, Single, run  # circuit imports this module
+    from grover_kit.circuit import Circuit, Gate, run  # circuit imports this module
 
-    return run(Circuit(state.n_qubits, (Single(kind, target),)), state)
+    return run(Circuit(state.n_qubits, (Gate(kind, target),)), state)
 
 
 def apply_multicontrolled(
     state: StateVector, base: str, controls: tuple[int, ...] | list[int], target: int
 ) -> StateVector:
     """New state with a multi-controlled X or Z applied. The input is untouched."""
-    from grover_kit.circuit import Circuit, MultiControlled, run  # circuit imports this module
+    from grover_kit.circuit import Circuit, Gate, run  # circuit imports this module
 
-    return run(Circuit(state.n_qubits, (MultiControlled(base, controls, target),)), state)
+    if not controls:
+        raise ValueError("controls must be non-empty")
+    return run(Circuit(state.n_qubits, (Gate(base, target, controls),)), state)
 
 
 def inner_product(a: StateVector, b: StateVector) -> complex:

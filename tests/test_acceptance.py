@@ -251,7 +251,7 @@ def test_criterion_09_sampling_intervals():
 
 
 def test_criterion_10_randomized_property_suite():
-    from grover_kit.circuit import Circuit, MultiControlled, Single
+    from grover_kit.circuit import Circuit, Gate
     from grover_kit.statevector import apply_single
 
     rng = np.random.default_rng(101010)
@@ -266,13 +266,13 @@ def test_criterion_10_randomized_property_suite():
         for _ in range(n_ops):
             roll = rng.integers(0, 5)
             if roll < 3:
-                ops.append(Single("HXZ"[roll], int(rng.integers(0, n))))
+                ops.append(Gate("HXZ"[roll], int(rng.integers(0, n))))
             else:
                 qubits = rng.permutation(n)
                 n_controls = int(rng.integers(1, n))
                 controls = tuple(int(q) for q in qubits[:n_controls])
                 target = int(qubits[n_controls])
-                ops.append(MultiControlled("X" if roll == 3 else "Z", controls, target))
+                ops.append(Gate("X" if roll == 3 else "Z", target, controls))
         return Circuit(n, tuple(ops))
 
     cases = 0

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,10 +8,9 @@ from hypothesis import strategies as st
 from grover_kit.circuit import (
     MAX_ITERATIONS,
     Circuit,
+    Gate,
     GroverSpec,
-    MultiControlled,
     OracleStyle,
-    Single,
     SpecError,
     build_grover_circuit,
     circuit_from_text,
@@ -51,46 +52,58 @@ def random_circuit(n, n_ops, rng=RNG):
     for _ in range(n_ops):
         roll = rng.integers(0, 5)
         if roll < 3:
-            ops.append(Single("HXZ"[roll], int(rng.integers(0, n))))
+            ops.append(Gate("HXZ"[roll], int(rng.integers(0, n))))
         else:
             qubits = rng.permutation(n)
             n_controls = int(rng.integers(1, n))
             controls = tuple(int(q) for q in qubits[:n_controls])
             target = int(qubits[n_controls])
-            ops.append(MultiControlled("X" if roll == 3 else "Z", controls, target))
+            ops.append(Gate("X" if roll == 3 else "Z", target, controls))
     return Circuit(n, tuple(ops))
 
 
 def test_op_validation():
     with pytest.raises(ValueError):
-        Single("Y", 0)
+        Gate("Y", 0)
     with pytest.raises(IndexError):
-        Single("H", -1)
+        Gate("H", -1)
     with pytest.raises(ValueError):
-        MultiControlled("H", (0,), 1)
+        Gate("H", 1, (0,))
     with pytest.raises(ValueError):
-        MultiControlled("X", (), 1)
+        Gate("X", 0, (1, 1))
     with pytest.raises(ValueError):
-        MultiControlled("X", (1, 1), 0)
-    with pytest.raises(ValueError):
-        MultiControlled("Z", (0,), 0)
+        Gate("Z", 0, (0,))
     with pytest.raises(IndexError):
-        Single("H", True)
+        Gate("H", True)
     with pytest.raises(IndexError):
-        MultiControlled("X", (False,), True)
+        Gate("X", True, (False,))
+    with pytest.raises(ValueError, match="not in"):
+        Gate("H", 2, (0, 1))
+    with pytest.raises(ValueError, match="duplicate"):
+        Gate("Z", 2, (0, 1, 0))
+    with pytest.raises(ValueError, match="also listed as a control"):
+        Gate("X", 1, (0, 1))
+    with pytest.raises(IndexError):
+        Gate("Z", False)
+    with pytest.raises(IndexError):
+        Gate("X", 2, (0, True))
+    with pytest.raises(ValueError, match="not in"):
+        Gate("Y", 1, (0,))
+    assert Gate("X", 1, [0]).controls == (0,)
+    assert Gate("X", 1) == Gate("X", 1, ())
 
 
 def test_circuit_width_check():
     with pytest.raises(IndexError):
-        Circuit(2, (Single("H", 2),))
+        Circuit(2, (Gate("H", 2),))
     with pytest.raises(IndexError):
-        Circuit(2, (MultiControlled("X", (0,), 3),))
+        Circuit(2, (Gate("X", 3, (0,)),))
     with pytest.raises(ValueError):
         Circuit(0, ())
     with pytest.raises(ValueError):
-        Circuit(2.0, (Single("H", 0),))
+        Circuit(2.0, (Gate("H", 0),))
     with pytest.raises(ValueError):
-        Circuit(True, (Single("H", 0),))
+        Circuit(True, (Gate("H", 0),))
 
 
 def test_grover_spec_normalizes_marked():
@@ -246,8 +259,8 @@ def test_build_structure_ancilla():
     spec = GroverSpec(2, ("01",), 1, OracleStyle.MCX_ANCILLA)
     circuit = build_grover_circuit(spec)
     assert circuit.n_qubits == 3
-    assert circuit.ops[0] == Single("X", 2)
-    assert circuit.ops[1:4] == (Single("H", 0), Single("H", 1), Single("H", 2))
+    assert circuit.ops[0] == Gate("X", 2)
+    assert circuit.ops[1:4] == (Gate("H", 0), Gate("H", 1), Gate("H", 2))
     assert len(circuit) == 16
 
 
@@ -277,7 +290,7 @@ def test_run_matches_dense_unitary():
 
 
 def test_dense_unitary_width_bound():
-    big = Circuit(11, (Single("H", 0),))
+    big = Circuit(11, (Gate("H", 0),))
     with pytest.raises(ValueError):
         dense_unitary(big)
 
@@ -318,9 +331,9 @@ def test_single_builder_views_agree(case):
 
 
 def test_op_to_text_forms():
-    assert op_to_text(Single("H", 3)) == "H 3"
-    assert op_to_text(MultiControlled("X", (0, 2), 4)) == "MCX c=0,2 t=4"
-    assert op_to_text(MultiControlled("Z", (1,), 0)) == "MCZ c=1 t=0"
+    assert op_to_text(Gate("H", 3)) == "H 3"
+    assert op_to_text(Gate("X", 4, (0, 2))) == "MCX c=0,2 t=4"
+    assert op_to_text(Gate("Z", 0, (1,))) == "MCZ c=1 t=0"
 
 
 def test_text_round_trip_grover():
@@ -330,7 +343,7 @@ def test_text_round_trip_grover():
 
 
 def test_text_idle_qubit_survives_round_trip():
-    circuit = Circuit(4, (Single("H", 0),))
+    circuit = Circuit(4, (Gate("H", 0),))
     again = circuit_from_text(circuit_to_text(circuit))
     assert again.n_qubits == 4
 
@@ -338,13 +351,13 @@ def test_text_idle_qubit_survives_round_trip():
 def test_text_width_inferred_without_header():
     circuit = circuit_from_text("H 0\nMCX c=0,1 t=2\n")
     assert circuit.n_qubits == 3
-    assert circuit.ops[1] == MultiControlled("X", (0, 1), 2)
+    assert circuit.ops[1] == Gate("X", 2, (0, 1))
 
 
 def test_text_comments_and_blank_lines():
     text = "# a comment\n\nH 0  # trailing note\n"
     circuit = circuit_from_text(text)
-    assert circuit.ops == (Single("H", 0),)
+    assert circuit.ops == (Gate("H", 0),)
 
 
 def test_text_parse_errors_name_the_line():
@@ -356,6 +369,8 @@ def test_text_parse_errors_name_the_line():
         circuit_from_text("H x\n")
     with pytest.raises(ValueError, match="line 3"):
         circuit_from_text("H 0\nX 1\nMCZ c= t=0\n")
+    with pytest.raises(ValueError, match="line 1: MCX needs at least one control"):
+        circuit_from_text("MCX c= t=1\n")
     with pytest.raises(ValueError, match="line 1"):
         circuit_from_text("MCZ c=0,0 t=1\n")
     with pytest.raises(ValueError):
@@ -370,16 +385,16 @@ def circuits(draw, max_qubits=6, max_ops=15):
     for _ in range(n_ops):
         if draw(st.booleans()):
             ops.append(
-                Single(draw(st.sampled_from("HXZ")), draw(st.integers(0, n - 1)))
+                Gate(draw(st.sampled_from("HXZ")), draw(st.integers(0, n - 1)))
             )
         else:
             order = draw(st.permutations(range(n)))
             n_controls = draw(st.integers(1, n - 1))
             ops.append(
-                MultiControlled(
+                Gate(
                     draw(st.sampled_from("XZ")),
-                    tuple(order[:n_controls]),
                     order[n_controls],
+                    tuple(order[:n_controls]),
                 )
             )
     return Circuit(n, tuple(ops))
@@ -403,3 +418,22 @@ def test_run_in_slices_matches_one_run(circuit, data):
         # each slice's result is a valid normalized state
         assert np.isclose(np.linalg.norm(state.amps), 1.0, atol=1e-9)
     assert np.array_equal(state.amps, run(circuit, initial).amps)
+
+
+@given(circuits())
+@settings(max_examples=100, deadline=None)
+def test_run_default_start_is_zero_state(circuit):
+    assert np.array_equal(run(circuit).amps, run(circuit, zero_state(circuit.n_qubits)).amps)
+
+
+def test_run_default_start_holds_one_state():
+    circuit = Circuit(16, ())
+    state_bytes = 16 << 16  # 2^16 complex128 amplitudes
+    tracemalloc.start()
+    try:
+        final = run(circuit)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert final.amps[0] == 1.0
+    assert peak < 1.5 * state_bytes

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -331,6 +332,19 @@ def test_run_trace_size_limit(capsys, monkeypatch):
     assert err.startswith("error: --trace:")
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_load_trace_empty_circuit(capsys, monkeypatch, fmt):
+    monkeypatch.setattr("sys.stdin", io.StringIO("# qubits: 2\n"))
+    code, out, _ = run_cli(capsys, "load", "--trace", "--format", fmt)
+    assert code == 0
+    if fmt == "text":
+        assert "p(00): 1.000000" in out.splitlines()
+    else:
+        doc = json.loads(out)
+        assert doc["rows"] == []
+        assert doc["summary"] == [{"bitstring": "00", "p": 1.0}]
+
+
 def test_load_parse_error(capsys, tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("MCX t=2\n")
@@ -368,3 +382,96 @@ def test_precision_bound(capsys):
     )
     assert code == 2
     assert "--precision" in err
+
+
+# The flags of every subcommand: dest -> (option strings, type, default, choices,
+# required, nargs, metavar, help). Option order in --help is not pinned.
+_OUTPUT_FLAGS = {
+    "format": (("--format",), None, "text", ("text", "json", "csv"), False, None, None, None),
+    "precision": (("--precision",), int, 6, None, False, None, "DIGITS", None),
+    "bit_order": (("--bit-order",), None, "msb", ("msb", "lsb"), False, None, None, None),
+}
+_SPEC_FLAGS = {
+    "n": (("--n",), int, None, None, True, None, None, "data qubit count"),
+    "marked": (("--marked",), None, None, None, True, "+", "BITS", "marked bitstrings"),
+    "style": (("--style",), None, "mcz", ("mcz", "mcx-ancilla"), False, None, None, None),
+}
+_ITERATIONS_FLAG = {"iterations": (("--iterations",), int, 1, None, False, None, None, None)}
+CLI_SURFACE = {
+    "run": {
+        **_SPEC_FLAGS,
+        **_ITERATIONS_FLAG,
+        "trace": (
+            ("--trace",), None, False, None, False, 0, None, "emit the state after each step"
+        ),
+        **_OUTPUT_FLAGS,
+    },
+    "sweep": {
+        **_SPEC_FLAGS,
+        "kmax": (("--kmax",), int, None, None, True, None, None, None),
+        **_OUTPUT_FLAGS,
+    },
+    "predict": {
+        "n": (("--n",), int, None, None, True, None, None, None),
+        "m": (("--m",), int, None, None, True, None, None, "marked string count"),
+        "iterations": (("--iterations",), int, None, None, False, None, None, None),
+        "optimal": (("--optimal",), None, False, None, False, 0, None, None),
+        **_OUTPUT_FLAGS,
+    },
+    "sample": {
+        **_SPEC_FLAGS,
+        **_ITERATIONS_FLAG,
+        "shots": (("--shots",), int, None, None, True, None, None, None),
+        "seed": (
+            ("--seed",), int, None, None, False, None, None, "default: $GROVER_KIT_SEED or 0"
+        ),
+        **_OUTPUT_FLAGS,
+    },
+    "dump": {
+        **_SPEC_FLAGS,
+        **_ITERATIONS_FLAG,
+        "out": (("--out",), None, None, None, False, None, "PATH", "default: stdout"),
+    },
+    "load": {
+        "file": (("--file",), None, None, None, False, None, "PATH", "default: stdin"),
+        "trace": (("--trace",), None, False, None, False, 0, None, None),
+        **_OUTPUT_FLAGS,
+    },
+}
+# Mutually exclusive groups of each subcommand: (required, dests).
+CLI_EXCLUSIVE = {"predict": [(True, ["iterations", "optimal"])]}
+
+
+def _subparsers():
+    (action,) = [
+        a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    return action.choices
+
+
+def test_cli_surface_is_pinned():
+    subparsers = _subparsers()
+    assert list(subparsers) == list(CLI_SURFACE)
+    for name, parser in subparsers.items():
+        flags = {
+            a.dest: (
+                tuple(a.option_strings), a.type, a.default,
+                tuple(a.choices) if a.choices else None, a.required, a.nargs, a.metavar, a.help,
+            )
+            for a in parser._actions
+            if not isinstance(a, argparse._HelpAction)
+        }
+        assert flags == CLI_SURFACE[name], name
+        groups = [
+            (g.required, [a.dest for a in g._group_actions])
+            for g in parser._mutually_exclusive_groups
+        ]
+        assert groups == CLI_EXCLUSIVE.get(name, []), name
+
+
+@pytest.mark.parametrize("command", [[], *([name] for name in CLI_SURFACE)])
+def test_help_exits_0(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: grover-kit")
