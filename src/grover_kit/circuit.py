@@ -15,6 +15,15 @@ The diffuser circuit on n qubits realizes exactly -(2|u><u| - Id) where u is
 the uniform superposition; the leading minus sign is a global phase per
 iteration and is kept, not hidden.
 
+Two executors compute Grover states. `run` applies the compiled gates one
+by one; it is the reference, and ``run --trace``, ``load`` and
+`dense_unitary` use it, because a trace reports the state after each
+gate-level step. `grover_data_state` computes the data register of a spec
+with no gates at all: per iteration an O(m) sign flip of the marked
+amplitudes and one pass for the diffuser. Untraced ``run``, ``sample`` and
+``sweep`` use it. tests/test_differential.py holds the two paths, the dense
+matrices and the closed form together within tolerances that grow with k.
+
 Text format (one op per line, ``#`` starts a comment)::
 
     # qubits: 3
@@ -286,6 +295,31 @@ def run(circuit: Circuit, initial: StateVector | None = None) -> StateVector:
     for op in circuit.ops:
         _apply(amps, circuit.n_qubits, op)
     return StateVector(circuit.n_qubits, amps, copy=False)
+
+
+def grover_data_state(spec: GroverSpec, initial: StateVector | None = None) -> StateVector:
+    """The data register after ``spec.iterations`` Grover iterations, without gates.
+
+    Starts from the uniform state on ``spec.n_qubits`` qubits, or from a copy
+    of `initial`. Each iteration negates the marked amplitudes, which is O(m),
+    and then maps ``amps -> amps - 2*mean(amps)`` in one pass: the gate
+    diffuser -(2|u><u| - Id), global minus sign included. For ``mcx_ancilla``
+    specs the gate path's state is this register times (|0>-|1>)/sqrt(2), so
+    both styles give the same data register. One state is held throughout;
+    the result is validated, never renormalized.
+    """
+    n = spec.n_qubits
+    if initial is None:
+        amps = np.full(1 << n, 1.0 / np.sqrt(1 << n), dtype=np.complex128)
+    elif initial.n_qubits != n:
+        raise ValueError(f"initial state has {initial.n_qubits} qubits, spec has {n} data qubits")
+    else:
+        amps = initial.amps.copy()
+    marked = np.array([int(bits, 2) for bits in spec.marked])
+    for _ in range(spec.iterations):
+        amps[marked] *= -1.0
+        amps -= 2.0 * amps.mean()
+    return StateVector(n, amps, copy=False)
 
 
 def dense_unitary(circuit: Circuit) -> np.ndarray:

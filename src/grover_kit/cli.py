@@ -40,6 +40,7 @@ from grover_kit.circuit import (
     build_grover_circuit,
     circuit_from_text,
     circuit_to_text,
+    grover_data_state,
     grover_step_labels,
     op_to_text,
     run,
@@ -226,9 +227,12 @@ def _resolve_seed(args) -> int:
 
 def cmd_run(args) -> Report:
     spec = _validate_spec_args(args)
-    circuit = build_grover_circuit(spec)
-    final, trace_rows = _simulate(circuit, lambda: grover_step_labels(spec), args)
-    data = data_state(final, spec)
+    if args.trace:  # the trace shows gate-level steps, so only it runs the gates
+        circuit = build_grover_circuit(spec)
+        final, trace_rows = _simulate(circuit, lambda: grover_step_labels(spec), args)
+        data = data_state(final, spec)
+    else:
+        data, trace_rows = grover_data_state(spec), None
     p = args.precision
     coords = plane_decompose(data, spec.marked)
     c_p, c_r = oblique_coords(data, spec.marked)
@@ -320,8 +324,7 @@ def cmd_sample(args) -> Report:
     spec = _validate_spec_args(args)
     seed = _resolve_seed(args)
     check_shots_and_seed(args.shots, seed)
-    final = data_state(run(build_grover_circuit(spec)), spec)
-    histogram = measure_all(final, args.shots, seed)
+    histogram = measure_all(grover_data_state(spec), args.shots, seed)
     records = [
         {"bitstring": _oriented(bits, args.bit_order), "count": count}
         for bits, count in histogram.counts.items()

@@ -81,10 +81,8 @@ class StateVector:
             )
         if copy and arr is amps:
             arr = arr.copy()
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("amplitudes must be finite")
         norm = float(np.linalg.norm(arr))
-        if abs(norm - 1.0) > NORM_TOL:
+        if not abs(norm - 1.0) <= NORM_TOL:  # also refuses a NaN or infinite amplitude
             raise ValueError(f"state norm {norm} deviates from 1 by more than {NORM_TOL}")
         arr.flags.writeable = False
         self.n_qubits = n_qubits

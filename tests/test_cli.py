@@ -119,6 +119,35 @@ def test_run_trace_steps(capsys):
     assert doc["summary"]["p_marked_total"] == 1.0
 
 
+SPEC_FLAGS = ["--n", "4", "--marked", "0010", "1101", "--style", "mcx-ancilla"]
+
+
+@pytest.mark.parametrize(
+    "argv, gate_path",
+    [
+        (["run", *SPEC_FLAGS, "--iterations", "3"], False),
+        (["sample", *SPEC_FLAGS, "--iterations", "3", "--shots", "10"], False),
+        (["sweep", *SPEC_FLAGS, "--kmax", "3"], False),
+        (["run", *SPEC_FLAGS, "--iterations", "3", "--trace"], True),
+        (["load", "--file", "-"], True),
+    ],
+)
+def test_command_picks_the_executor(capsys, monkeypatch, argv, gate_path):
+    """Untraced Grover commands run fused; a trace or a loaded circuit runs the gates."""
+    from grover_kit import circuit
+
+    calls = []
+    for name in ("_apply_single_inplace", "_apply_multicontrolled_inplace"):
+        kernel = getattr(circuit, name)
+        monkeypatch.setattr(
+            circuit, name, lambda *a, kernel=kernel: calls.append(a[2]) or kernel(*a)
+        )
+    monkeypatch.setattr("sys.stdin", io.StringIO("H 0\nMCX c=0 t=1\n"))
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert bool(calls) is gate_path
+
+
 def test_run_trace_csv_columns(capsys):
     code, out, _ = run_cli(
         capsys,

@@ -83,11 +83,29 @@ def test_statevector_validation():
     with pytest.raises(ValueError):
         StateVector(1, np.array([np.nan, 0.0]))
     with pytest.raises(ValueError):
+        StateVector(1, np.array([np.inf, 0]))
+    with pytest.raises(ValueError):
+        StateVector(1, np.array([np.nan, 0]))
+    with pytest.raises(ValueError):
+        StateVector(1, np.array([complex(1.0, np.nan), 0.0]))
+    with pytest.raises(ValueError):
         StateVector(True, np.array([1.0, 0.0]))
     with pytest.raises(ValueError):
         StateVector(1.0, np.array([1.0, 0.0]))
     with pytest.raises(ValueError):
         zero_state(2.0)
+
+
+def test_validation_allocates_no_state_sized_temporary():
+    amps = np.zeros(1 << 16, dtype=np.complex128)
+    amps[0] = 1.0
+    tracemalloc.start()
+    try:
+        StateVector(16, amps, copy=False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < amps.nbytes / 32
 
 
 def test_amps_are_read_only():
