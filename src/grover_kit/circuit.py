@@ -20,9 +20,10 @@ by one; it is the reference, and ``run --trace``, ``load`` and
 `dense_unitary` use it, because a trace reports the state after each
 gate-level step. `grover_data_state` computes the data register of a spec
 with no gates at all: per iteration an O(m) sign flip of the marked
-amplitudes and one pass for the diffuser. Untraced ``run``, ``sample`` and
-``sweep`` use it. tests/test_differential.py holds the two paths, the dense
-matrices and the closed form together within tolerances that grow with k.
+amplitudes, then a mean and a subtraction for the diffuser. Untraced
+``run``, ``sample`` and ``sweep`` use it. tests/test_differential.py holds
+the two paths, the dense matrices and the closed form together within
+tolerances that grow with k.
 
 Text format (one op per line, ``#`` starts a comment)::
 
@@ -302,7 +303,7 @@ def grover_data_state(spec: GroverSpec, initial: StateVector | None = None) -> S
 
     Starts from the uniform state on ``spec.n_qubits`` qubits, or from a copy
     of `initial`. Each iteration negates the marked amplitudes, which is O(m),
-    and then maps ``amps -> amps - 2*mean(amps)`` in one pass: the gate
+    and then maps ``amps -> amps - 2*mean(amps)`` in place: the gate
     diffuser -(2|u><u| - Id), global minus sign included. For ``mcx_ancilla``
     specs the gate path's state is this register times (|0>-|1>)/sqrt(2), so
     both styles give the same data register. One state is held throughout;
