@@ -144,7 +144,7 @@ def _flatten(mapping: dict, pattern: str = "{}") -> Iterable[tuple[str, object]]
 
 
 def _r(value: float, precision: int) -> float:
-    return round(float(value), precision)
+    return round(float(value), precision) + 0.0  # + 0.0 turns -0.0 into 0.0
 
 
 def _complex_entry(z: complex, precision: int) -> dict:

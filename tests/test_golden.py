@@ -13,6 +13,7 @@ Regenerate the files only when an output change is intended:
 
 import io
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -25,6 +26,7 @@ FORMATS = ("text", "json", "csv")
 STYLES = ("mcz", "mcx-ancilla")
 ORDERS = ("msb", "lsb")
 STDIN_CIRCUIT = "# qubits: 2\nH 0\nMCX c=0 t=1\nZ 1\n"
+NEGATIVE_ZERO = re.compile(r"(?<![0-9.])-0(?:\.0*)?(?![0-9.])")
 
 
 def _cases() -> dict[str, tuple[list[str], str | None]]:
@@ -164,6 +166,13 @@ def test_golden(name, in_golden_dir):
         assert err == ""
     else:
         assert _stderr_head(err) == status["stderr"]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_prints_no_negative_zero(name):
+    """A value that rounds to zero prints as 0, never -0, -0.0 or -0.000000."""
+    out = (GOLDEN / f"{name}.out").read_text()
+    assert NEGATIVE_ZERO.findall(out) == []
 
 
 if __name__ == "__main__":
