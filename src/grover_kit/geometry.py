@@ -3,9 +3,10 @@
 Every state reachable from the uniform superposition by oracle and diffuser
 stays inside the plane spanned by |beta> (uniform over marked strings) and
 |alpha> (uniform over unmarked strings). This module decomposes simulated
-states into that plane, computes the rotation angles, predicts success
-probabilities in closed form, and builds per-iteration sweep reports that
-put simulation and formula side by side.
+states into that plane, from two sums (over the m marked amplitudes and over
+all N) and with no basis vector built, computes the rotation angles, predicts
+success probabilities in closed form, and builds per-iteration sweep reports
+that put simulation and formula side by side.
 
 Closed form: with theta_sin = arcsin(sqrt(m/2^n)), the probability of
 landing in the marked set after k iterations is sin^2((2k+1)*theta_sin).
@@ -124,6 +125,12 @@ def marked_plane_basis(n_qubits: int, marked: Sequence[str]) -> tuple[StateVecto
     )
 
 
+def _plane_sums(state: StateVector, marked: Sequence[str]) -> tuple[list[int], complex, complex]:
+    """Marked indices, the sum s_m of the marked amplitudes and the sum S of all N."""
+    indices = _marked_indices(state.n_qubits, marked)
+    return indices, complex(state.amps[indices].sum()), complex(state.amps.sum())
+
+
 def plane_decompose(state: StateVector, marked: Sequence[str]) -> PlaneCoords:
     """Project a data-qubit state onto the marked/unmarked plane.
 
@@ -132,14 +139,12 @@ def plane_decompose(state: StateVector, marked: Sequence[str]) -> PlaneCoords:
     marked amplitudes and S the sum over all N, a_marked = s_m/sqrt(m) and
     a_unmarked = (S - s_m)/sqrt(N - m). The residual is one more pass.
     """
-    indices = _marked_indices(state.n_qubits, marked)
-    amps = state.amps
-    root_m, root_u = math.sqrt(len(indices)), math.sqrt(len(amps) - len(indices))
-    s_m = complex(amps[indices].sum())
+    indices, s_m, total = _plane_sums(state, marked)
+    root_m, root_u = math.sqrt(len(indices)), math.sqrt(len(state.amps) - len(indices))
     a_marked = s_m / root_m
-    a_unmarked = (complex(amps.sum()) - s_m) / root_u
-    remainder = amps - a_unmarked / root_u
-    remainder[indices] = amps[indices] - a_marked / root_m
+    a_unmarked = (total - s_m) / root_u
+    remainder = state.amps - a_unmarked / root_u
+    remainder[indices] = state.amps[indices] - a_marked / root_m
     return PlaneCoords(
         a_marked=a_marked,
         a_unmarked=a_unmarked,
@@ -167,21 +172,16 @@ def plane_angle(coords: PlaneCoords) -> float:
 def oblique_coords(state: StateVector, marked: Sequence[str]) -> tuple[complex, complex]:
     """Coefficients (c_p, c_r) with state = c_p*|uniform> + c_r*|beta>.
 
-    The pair (|uniform>, |beta>) is not orthogonal; the coefficients come
-    from the 2x2 Gram system. Useful for reading states written against the
-    uniform superposition instead of the orthonormal plane basis. Only
-    meaningful when the state actually lies in the plane (residual ~ 0).
+    The pair is not orthogonal; (c_p, c_r) solve its 2x2 Gram system, which
+    gives the projection onto the plane for any state, in the plane or not.
+    From the sums of plane_decompose: c_p = (S - s_m)*sqrt(N)/(N - m) and
+    c_r = s_m/sqrt(m) - (S - s_m)*sqrt(m)/(N - m). No basis vector is built.
     """
-    beta, _ = marked_plane_basis(state.n_qubits, marked)
-    dim = 1 << state.n_qubits
-    uniform = np.full(dim, 1.0 / math.sqrt(dim), dtype=np.complex128)
-    overlap = complex(np.vdot(uniform, beta.amps))
-    gram = np.array([[1.0, overlap], [np.conj(overlap), 1.0]], dtype=np.complex128)
-    rhs = np.array(
-        [np.vdot(uniform, state.amps), np.vdot(beta.amps, state.amps)], dtype=np.complex128
-    )
-    c_p, c_r = np.linalg.solve(gram, rhs)
-    return complex(c_p), complex(c_r)
+    indices, s_m, total = _plane_sums(state, marked)
+    dim, m = 1 << state.n_qubits, len(indices)
+    c_p = (total - s_m) * math.sqrt(dim) / (dim - m)
+    c_r = s_m / math.sqrt(m) - (total - s_m) * math.sqrt(m) / (dim - m)
+    return c_p, c_r
 
 
 def strip_ancilla(state: StateVector) -> StateVector:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grover_kit.circuit import GroverSpec, OracleStyle, build_grover_circuit, grover_iteration, run
 from grover_kit.geometry import (
@@ -186,6 +188,59 @@ def test_oblique_coords_reconstruct():
     uniform = np.full(16, 0.25)
     rebuilt = c_p * uniform + c_r * beta.amps
     assert np.allclose(rebuilt, state.amps, atol=1e-10)
+
+
+@st.composite
+def states_and_marked(draw, max_n: int = 8) -> tuple[StateVector, tuple[str, ...]]:
+    """A normalised complex state and a random set of 1..N-1 marked strings.
+
+    The state is a random point of the marked/unmarked plane plus
+    `off_plane` times complex Gaussian noise, so it is in the plane, near it
+    or far off it.
+    """
+    n = draw(st.integers(1, max_n))
+    dim = 1 << n
+    m = draw(st.integers(1, dim - 1))
+    off_plane = draw(st.sampled_from([0.0, 1e-3, 0.5, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    indices = rng.choice(dim, m, replace=False)
+    beta = np.zeros(dim, dtype=np.complex128)
+    beta[indices] = 1.0 / math.sqrt(m)
+    a, b = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    noise = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    amps = a / math.sqrt(dim) + b * beta + off_plane * noise
+    marked = tuple(format(int(i), f"0{n}b") for i in indices)
+    return StateVector(n, amps / np.linalg.norm(amps)), marked
+
+
+def gram_oblique(state, marked):
+    """Reference (c_p, c_r): the 2x2 Gram solve against built |uniform> and |beta> vectors."""
+    beta = marked_plane_basis(state.n_qubits, marked)[0].amps
+    uniform = np.full(len(beta), 1.0 / math.sqrt(len(beta)), dtype=np.complex128)
+    overlap = np.vdot(uniform, beta)
+    gram = np.array([[1.0, overlap], [np.conj(overlap), 1.0]], dtype=np.complex128)
+    rhs = np.array([np.vdot(uniform, state.amps), np.vdot(beta, state.amps)])
+    return np.linalg.solve(gram, rhs), uniform, beta
+
+
+@settings(max_examples=200, deadline=None)
+@given(states_and_marked())
+def test_oblique_coords_match_gram_solve_on_any_state(case):
+    # Both forms round differently, and the Gram system's condition number
+    # grows as N/(N - m). Over 35,000 random cases (n <= 8) the worst gap was
+    # 5.0e-15 * N/(N - m) and the worst overlap left below was 1.3e-15; the
+    # bounds sit 8 times above.
+    state, marked = case
+    dim, m = len(state.amps), len(marked)
+    (ref_p, ref_r), uniform, beta = gram_oblique(state, marked)
+    c_p, c_r = oblique_coords(state, marked)
+    tol = 4e-14 * dim / (dim - m)
+    assert abs(c_p - ref_p) <= tol
+    assert abs(c_r - ref_r) <= tol
+    # The fit is the orthogonal projection: what it leaves is orthogonal to both vectors.
+    rest = state.amps - (c_p * uniform + c_r * beta)
+    assert abs(np.vdot(uniform, rest)) <= 1e-14
+    assert abs(np.vdot(beta, rest)) <= 1e-14
 
 
 def test_strip_ancilla():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from grover_kit.geometry import oblique_coords
 from grover_kit.statevector import (
     StateVector,
     _apply_multicontrolled_inplace,
@@ -106,6 +107,19 @@ def test_validation_allocates_no_state_sized_temporary():
     finally:
         tracemalloc.stop()
     assert peak < amps.nbytes / 32
+
+
+def test_oblique_coords_allocates_no_state_sized_temporary():
+    n = 16
+    state = StateVector(n, np.full(1 << n, 2.0 ** (-n / 2), dtype=np.complex128), copy=False)
+    marked = ("0" * n, "1" * n, "01" * (n // 2))
+    tracemalloc.start()
+    try:
+        oblique_coords(state, marked)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < state.amps.nbytes / 8
 
 
 def test_amps_are_read_only():
