@@ -19,10 +19,11 @@ Two executors compute Grover states. `run` applies the compiled gates one
 by one; it is the reference, and ``run --trace``, ``load`` and
 `dense_unitary` use it, because a trace reports the state after each
 gate-level step. `grover_data_state` computes the data register of a spec
-with no gates at all: per iteration an O(m) sign flip of the marked
-amplitudes, then a mean and a subtraction for the diffuser. Untraced
-``run``, ``sample`` and ``sweep`` use it. tests/test_differential.py holds
-the two paths, the dense matrices and the closed form together within
+with no gates at all: the state keeps one value on the marked strings and
+one on the rest, so each iteration is a few scalar operations, and the
+state is written once at the end. Untraced ``run``, ``sample`` and
+``sweep`` use it. tests/test_differential.py holds the two paths, the
+dense matrices, the closed form and exact rationals together within
 tolerances that grow with k.
 
 Text format (one op per line, ``#`` starts a comment)::
@@ -42,6 +43,7 @@ inferred as max index + 1.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -298,29 +300,30 @@ def run(circuit: Circuit, initial: StateVector | None = None) -> StateVector:
     return StateVector(circuit.n_qubits, amps, copy=False)
 
 
-def grover_data_state(spec: GroverSpec, initial: StateVector | None = None) -> StateVector:
+def grover_data_state(spec: GroverSpec) -> StateVector:
     """The data register after ``spec.iterations`` Grover iterations, without gates.
 
-    Starts from the uniform state on ``spec.n_qubits`` qubits, or from a copy
-    of `initial`. Each iteration negates the marked amplitudes, which is O(m),
-    and then maps ``amps -> amps - 2*mean(amps)`` in place: the gate
-    diffuser -(2|u><u| - Id), global minus sign included. For ``mcx_ancilla``
-    specs the gate path's state is this register times (|0>-|1>)/sqrt(2), so
-    both styles give the same data register. One state is held throughout;
-    the result is validated, never renormalized.
+    From the uniform start every Grover state has one amplitude on the m
+    marked entries and one on the other N - m (Boyer, Brassard, Hoyer and
+    Tapp, quant-ph/9605034). `v` and `u` are those two times sqrt(N), both 1
+    at first. The oracle negates v; the gate diffuser -(2|s><s| - Id),
+    global minus sign included, subtracts d = 2*(m*v + (N - m)*u)/N from
+    both. N is a power of two, so v and u stay exact dyadic rationals while
+    they fit in 53 bits. The state is written once, u/sqrt(N) with
+    v/sqrt(N) on the marked entries, and validated, never renormalized.
+    Both styles give this data register: the ``mcx_ancilla`` gate state is
+    it times (|0>-|1>)/sqrt(2).
     """
-    n = spec.n_qubits
-    if initial is None:
-        amps = np.full(1 << n, 1.0 / np.sqrt(1 << n), dtype=np.complex128)
-    elif initial.n_qubits != n:
-        raise ValueError(f"initial state has {initial.n_qubits} qubits, spec has {n} data qubits")
-    else:
-        amps = initial.amps.copy()
-    marked = np.array([int(bits, 2) for bits in spec.marked])
+    dim, m = 1 << spec.n_qubits, spec.n_marked
+    v = u = 1.0
     for _ in range(spec.iterations):
-        amps[marked] *= -1.0
-        amps -= 2.0 * amps.mean()
-    return StateVector(n, amps, copy=False)
+        v = -v
+        d = 2.0 * (m * v + (dim - m) * u) / dim
+        v, u = v - d, u - d
+    root = math.sqrt(dim)
+    amps = np.full(dim, u / root, dtype=np.complex128)
+    amps[[int(bits, 2) for bits in spec.marked]] = v / root
+    return StateVector(spec.n_qubits, amps, copy=False)
 
 
 def dense_unitary(circuit: Circuit) -> np.ndarray:

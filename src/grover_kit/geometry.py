@@ -214,21 +214,19 @@ def data_state(state: StateVector, spec: GroverSpec) -> StateVector:
 def iteration_report(spec: GroverSpec, k_max: int) -> list[IterationRow]:
     """Rows k = 0..k_max with simulated and closed-form marked probability.
 
-    Simulated values come from the fused executor `grover_data_state`, not
-    from the gate circuit: the uniform data register for k=0, then one
-    fused iteration per further row, stepped from the previous row's state.
-    Both oracle styles give the same data register, so the style does not
-    change a row. The gate path stays the reference the tests compare with.
+    Simulated values come from the two-value executor `grover_data_state`,
+    not from the gate circuit: each row is the state of the spec with
+    ``iterations=k``, built and validated on its own, so no row depends on
+    another. Both oracle styles give the same data register, so the style
+    does not change a row. The gate path stays the reference the tests
+    compare with.
     """
     if not 0 <= k_max <= MAX_REPORT_ITERATIONS:
         raise SpecError("k_max", f"k_max must be in 0..{MAX_REPORT_ITERATIONS}, got {k_max}")
-    step = replace(spec, iterations=min(k_max, 1))  # SpecError("n_qubits") when n=1, k_max >= 1
     angles = grover_angles(spec.n_qubits, spec.n_marked)
-    state = grover_data_state(replace(spec, iterations=0))
     rows: list[IterationRow] = []
     for k in range(k_max + 1):
-        if k > 0:
-            state = grover_data_state(step, initial=state)
+        state = grover_data_state(replace(spec, iterations=k))  # n=1 refuses k=1: SpecError
         p_sim = sum(state.probability(bits) for bits in spec.marked)
         rows.append(
             IterationRow(

@@ -1,26 +1,30 @@
-"""The fused executor against the gate path, dense matrices and the closed form.
+"""The two-value executor against the gate path, dense matrices, the closed form and exact rationals.
 
 `grover_data_state` replaces the compiled gates for untraced commands, so it
 must agree with every other way of computing the same state. Each pair has
 its own tolerance, which grows with the iteration count k because rounding
-accumulates once per iteration. The worst gaps measured over 1,600 random
-specs (n <= 10, up to 24 marked strings, k <= 20, both styles), divided by
-k + 1, were:
+accumulates once per iteration. The worst gaps measured over 3,200 random
+specs drawn like `specs()` (n <= 10, any marked set for n <= 6 and up to 24
+strings above, k <= 20, both styles), divided by k + 1, were:
 
-* fused vs gate path, data register: 1.6e-15
-* fused vs dense_unitary (n <= 8): 1.2e-15
-* mcx_ancilla gate state vs fused (x) (|0>-|1>)/sqrt(2): 1.1e-15
-* fused marked probability vs sin^2((2k+1)theta): 5.6e-16
-* plane residual of a fused state: 3.1e-16
-* plane_angle advance per iteration vs 2*theta (mod pi): 3.0e-16
-* oblique_coords vs its closed form, times cos(theta): 6.1e-16 (20,000
+* grover_data_state vs gate path, data register: 1.6e-15
+* grover_data_state vs dense_unitary (n <= 8): 1.2e-15
+* mcx_ancilla gate state vs grover_data_state (x) (|0>-|1>)/sqrt(2): 1.1e-15
+* marked probability vs sin^2((2k+1)theta): 6.6e-16
+* plane residual: 1.5e-15 (largest at k = 0, so plane_decompose's own
+  rounding, not the executor's)
+* plane_angle advance per iteration vs 2*theta (mod pi): 1.3e-15
+* oblique_coords vs its closed form, times cos(theta): 1.5e-15 (40,000
   specs; the closed form divides by cos(theta))
+* marked probability vs the exact rational recurrence: 1.1e-16 (6,000
+  specs with n <= 14 and k <= 64)
 
-The tolerances below sit 6 to 16 times above those figures.
+The tolerances below sit 3 to 9 times above those figures.
 """
 
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 from hypothesis import given, settings
@@ -54,23 +58,35 @@ def amplitude_tol(k: int) -> float:
 
 
 def exact_tol(k: int) -> float:
-    """Gap allowed between a fused probability, residual or angle step and its exact value."""
+    """Gap allowed between a computed probability, residual or angle step and its exact value."""
     return 5e-15 * (k + 1)
 
 
 @st.composite
-def specs(draw, max_n: int = 10) -> GroverSpec:
-    """n <= max_n, a random set of 1..min(2^n - 1, 24) marked strings, k <= 20, either style.
+def specs(draw, max_n: int = 10, max_k: int = 20) -> GroverSpec:
+    """n <= max_n, a random set of marked strings, k <= max_k, either style.
 
-    The marked-set size is capped so that the gate path stays fast; at
-    n <= 4 every m is still reachable.
+    For n <= 6 the marked set has any size from 1 to 2^n - 1. Above that it
+    is capped at 24 strings so that the gate path stays fast.
     """
     n = draw(st.integers(1, max_n))
     dim = 1 << n
-    indices = draw(st.sets(st.integers(0, dim - 1), min_size=1, max_size=min(dim - 1, 24)))
-    k = draw(st.integers(0, 20 if n >= 2 else 0))
+    max_m = dim - 1 if n <= 6 else 24
+    indices = draw(st.sets(st.integers(0, dim - 1), min_size=1, max_size=max_m))
+    k = draw(st.integers(0, max_k if n >= 2 else 0))
     style = draw(st.sampled_from(OracleStyle))
     return GroverSpec(n, tuple(format(i, f"0{n}b") for i in indices), k, style)
+
+
+def exact_p_marked(n: int, m: int, k: int) -> Fraction:
+    """The marked probability after k iterations, from the two-value recurrence in rationals."""
+    dim = 1 << n
+    v = u = Fraction(1)  # sqrt(N) times the marked and the unmarked amplitude
+    for _ in range(k):
+        v = -v
+        d = 2 * (m * v + (dim - m) * u) / dim
+        v, u = v - d, u - d
+    return m * v * v / dim
 
 
 @settings(max_examples=60, deadline=None)
@@ -104,22 +120,27 @@ def test_fused_matches_dense_unitary(spec):
 def test_fused_matches_closed_form_and_stays_in_plane(spec):
     n, m = spec.n_qubits, spec.n_marked
     theta = grover_angles(n, m).theta_sin
-    one = replace(spec, iterations=1) if spec.iterations else None
-    state = grover_data_state(replace(spec, iterations=0))
-    previous = plane_angle(plane_decompose(state, spec.marked))
+    previous = None
     for k in range(spec.iterations + 1):
-        if k > 0:
-            state = grover_data_state(one, state)
+        state = grover_data_state(replace(spec, iterations=k))
         p_sim = sum(state.probability(bits) for bits in spec.marked)
         assert abs(p_sim - predicted_success(n, m, k)) <= exact_tol(k)
         coords = plane_decompose(state, spec.marked)
         assert coords.residual_norm <= exact_tol(k)
-        if k > 0:
-            angle = plane_angle(coords)
+        angle = plane_angle(coords)
+        if previous is not None:
             gap = (angle - previous - 2.0 * theta) % math.pi
             assert min(gap, math.pi - gap) <= exact_tol(k)
-            previous = angle
-    assert np.array_equal(state.amps, grover_data_state(spec).amps)
+        previous = angle
+
+
+@settings(max_examples=200, deadline=None)
+@given(specs(max_n=14, max_k=64))
+def test_marked_probability_matches_exact_recurrence(spec):
+    state = grover_data_state(spec)
+    p_sim = sum(state.probability(bits) for bits in spec.marked)
+    exact = exact_p_marked(spec.n_qubits, spec.n_marked, spec.iterations)
+    assert abs(p_sim - exact) <= 5e-16 * (spec.iterations + 1)
 
 
 @settings(max_examples=100, deadline=None)
