@@ -93,10 +93,6 @@ class StateVector:
         """Read-only amplitude array, index msb-first."""
         return self._amps
 
-    @property
-    def dim(self) -> int:
-        return 1 << self.n_qubits
-
     def probabilities(self) -> np.ndarray:
         return np.abs(self._amps) ** 2
 
