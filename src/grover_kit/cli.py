@@ -65,6 +65,9 @@ AMPLITUDE_CUTOFF = 1e-12
 # --trace keeps up to steps x 2^wires amplitudes. A json trace peaks near 1.1 KiB of RSS
 # per amplitude (measured at n=14), so about 1.2 GiB at this limit.
 MAX_TRACE_AMPLITUDES = 1 << 20
+# `load` runs each op as about one pass over 2^wires amplitudes, so ops x 2^wires bounds its
+# work. H at n=20 takes 8.3 ms, 7.9 ns per amplitude, so this limit is about 34 s.
+MAX_LOAD_WORK = 1 << 32
 
 _STYLE_FLAGS = {"mcz": OracleStyle.MCZ_DIRECT, "mcx-ancilla": OracleStyle.MCX_ANCILLA}
 # Field named by a SpecError -> the flag that supplied it.
@@ -366,6 +369,10 @@ def cmd_load(args) -> Report:
         circuit = circuit_from_text(text)
     except (ValueError, IndexError) as err:
         raise UsageError(f"--file: {err}") from None
+    if len(circuit) << circuit.n_qubits > MAX_LOAD_WORK:
+        raise UsageError(
+            f"--file: {len(circuit)} ops x 2^{circuit.n_qubits} amplitudes exceed {MAX_LOAD_WORK}"
+        )
     final, trace_rows = _simulate(circuit, lambda: map(op_to_text, circuit.ops), args)
     p = args.precision
     probs = _nonzero(final.probabilities(), circuit.n_qubits, args.bit_order)

@@ -133,7 +133,7 @@ SPEC_FLAGS = ["--n", "4", "--marked", "0010", "1101", "--style", "mcx-ancilla"]
     ],
 )
 def test_command_picks_the_executor(capsys, monkeypatch, argv, gate_path):
-    """Untraced Grover commands run fused; a trace or a loaded circuit runs the gates."""
+    """Untraced Grover commands run no gates; a trace or a loaded circuit runs them."""
     from grover_kit import circuit
 
     calls = []
@@ -346,6 +346,24 @@ def test_load_trace_size_limit(capsys, monkeypatch, wires, code):
         assert json.loads(out)["rows"][0]["state"] == [
             {"bitstring": "1" + "0" * (wires - 1), "re": 1.0, "im": 0.0}
         ]
+
+
+@pytest.mark.parametrize("trace", [[], ["--trace"]])
+@pytest.mark.parametrize("ops, code", [(2, 0), (3, 2)])
+def test_load_work_limit(capsys, monkeypatch, trace, ops, code):
+    # ops x 2^wires is refused above MAX_LOAD_WORK, here 2 ops on 2 wires, before anything runs
+    def no_simulation(*_):
+        raise AssertionError("the work must be checked before the circuit runs")
+
+    monkeypatch.setattr(cli, "MAX_LOAD_WORK", 8)
+    if code:
+        monkeypatch.setattr(cli, "run", no_simulation)
+    monkeypatch.setattr("sys.stdin", io.StringIO("# qubits: 2\n" + "H 0\n" * ops))
+    got, out, err = run_cli(capsys, "load", *trace)
+    assert got == code
+    if code:
+        assert out == ""
+        assert err.startswith("error: --file:")
 
 
 def test_run_trace_size_limit(capsys, monkeypatch):

@@ -113,6 +113,7 @@ def _cases() -> dict[str, tuple[list[str], str | None]]:
         "load-missing": ["load", "--file", "no-such-file.circ"],
         "load-parse": ["load", "--file", "bad-gate.circ"],
         "load-width": ["load", "--file", "too-wide.circ"],
+        "load-work": ["load", "--file", "too-much-work.circ"],
         "precision-high": ["run", "--n", "2", "--marked", "01", "--precision", "18"],
         "precision-negative": ["sweep", "--n", "2", "--marked", "01", "--kmax", "1",
                                "--precision", "-1"],
