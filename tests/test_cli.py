@@ -351,7 +351,7 @@ def test_load_trace_size_limit(capsys, monkeypatch, wires, code):
 @pytest.mark.parametrize("trace", [[], ["--trace"]])
 @pytest.mark.parametrize("ops, code", [(2, 0), (3, 2)])
 def test_load_work_limit(capsys, monkeypatch, trace, ops, code):
-    # ops x 2^wires is refused above MAX_LOAD_WORK, here 2 ops on 2 wires, before anything runs
+    # With the limit patched to 8 = 2 ops x 2^2, a third op on 2 wires is refused before any run.
     def no_simulation(*_):
         raise AssertionError("the work must be checked before the circuit runs")
 
