@@ -22,12 +22,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import itertools
 import json
 import os
 import sys
 from dataclasses import replace
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -54,6 +55,7 @@ from grover_kit.geometry import (
     p_each_unmarked,
     plane_angle,
     plane_decompose,
+    plane_sums,
     predicted_success,
 )
 from grover_kit.sampling import check_shots_and_seed, measure_all
@@ -62,8 +64,9 @@ from grover_kit.statevector import StateVector, check_n_qubits
 FORMAT_VERSION = "1"
 SEED_ENV_VAR = "GROVER_KIT_SEED"
 AMPLITUDE_CUTOFF = 1e-12
-# --trace keeps up to steps x 2^wires amplitudes. A json trace peaks near 1.1 KiB of RSS
-# per amplitude (measured at n=14), so about 1.2 GiB at this limit.
+# --trace keeps up to steps x 2^wires amplitudes, as columns of about wires + 8 bytes each, and
+# writes one step at a time. A json trace of 933,888 amplitudes at n=14 took 1.4-1.5 s with a
+# 61 MiB peak RSS on a 2-vCPU machine, so this limit bounds time rather than memory.
 MAX_TRACE_AMPLITUDES = 1 << 20
 # `load` runs each op as about one pass over 2^wires amplitudes, so ops x 2^wires bounds its
 # work. H at n=20 takes 8.3 ms, 7.9 ns per amplitude, so this limit is about 34 s.
@@ -77,22 +80,39 @@ _SPEC_FLAGS = {
 }
 # Leaf names of nested summary keys in run's CSV; other nested keys prefix their leaves.
 _CSV_NAMES = {"p_per_marked": "p({})", "plane": "{}", "oblique": "{}"}
+# A traced json doc holds "rows": [] in this spot, the one top-level "rows" key: json.dumps
+# escapes newlines in strings, so a newline and a 2-space indent only ever start a top-level key.
+_TRACE_ROWS = '\n  "rows": []'
 
 
 class UsageError(Exception):
     """Bad flag value or inconsistent invocation; maps to exit code 2."""
 
 
+class TraceStep(NamedTuple):
+    """One --trace step as columns over its amplitudes above the cutoff, in index order:
+    their bitstrings (an S<wires> array) and, for each, its position in `values`, the
+    step's distinct amplitudes rounded as {re, im} entries."""
+
+    label: str
+    ops: tuple[int, int]
+    bits: np.ndarray
+    which: np.ndarray
+    values: list[dict]
+
+
 class Report(NamedTuple):
     """One command's output, built once and printed by `_emit` in the chosen format.
 
-    `rows` and `lines` may be lazy: only the requested format is consumed.
+    `rows` and `lines` may be lazy: only the requested format is consumed. A `trace`
+    fills json "rows" and follows the csv rows and text lines.
     """
 
     doc: dict | None
     columns: list[str]
     rows: Iterable[list]
     lines: Iterable[str]
+    trace: list[TraceStep] | None = None
 
 
 def _oriented(bits: str, bit_order: str) -> str:
@@ -163,16 +183,17 @@ def _fmt(value: float | dict, precision: int) -> str:
     return f"{_fmt(value['re'], precision)}{value['im']:+.{precision}f}j"
 
 
-def _nonzero(values: np.ndarray, n_qubits: int, bit_order: str) -> list[tuple[str, object]]:
-    """(bitstring, value) of each entry whose magnitude is above the cutoff, in index order."""
+def _nonzero(values: np.ndarray, n_qubits: int, bit_order: str) -> tuple[np.ndarray, np.ndarray]:
+    """Bitstrings (an S<n_qubits> array) and values of the entries whose magnitude is above
+    the cutoff, in index order."""
     keep = np.flatnonzero(np.abs(values) > AMPLITUDE_CUTOFF)
-    width = f"0{n_qubits}b"
-    bits = (_oriented(format(i, width), bit_order) for i in keep.tolist())
-    return list(zip(bits, values[keep].tolist()))
+    shifts = np.arange(n_qubits)[::-1 if bit_order == "msb" else 1]  # msb: qubit 0 leftmost
+    digits = ((keep[:, None] >> shifts) & 1).astype(np.uint8) + ord("0")
+    return digits.view(f"S{n_qubits}").ravel(), values[keep]
 
 
-def _simulate(circuit, labels, args) -> tuple[StateVector, list[dict] | None]:
-    """Run `circuit` on |0...0>; with --trace, one slice and one row per run of equal `labels()`."""
+def _simulate(circuit, labels, args) -> tuple[StateVector, list[TraceStep] | None]:
+    """Run `circuit` on |0...0>; with --trace, one slice and one step per run of equal `labels()`."""
     if not args.trace:
         return run(circuit), None
     n = circuit.n_qubits
@@ -181,40 +202,57 @@ def _simulate(circuit, labels, args) -> tuple[StateVector, list[dict] | None]:
         raise UsageError(
             f"--trace: {len(steps)} steps x 2^{n} amplitudes exceed {MAX_TRACE_AMPLITUDES}"
         )
-    state, rows, first = None, [], 0  # the first slice starts from |0...0>
-    for step, (label, size) in enumerate(steps):
+    state, trace, first = None, [], 0  # the first slice starts from |0...0>
+    for label, size in steps:
         last = first + size - 1
         state = run(Circuit(n, circuit.ops[first:last + 1]), state)
-        nonzero = _nonzero(state.amps, n, args.bit_order)
-        entries = [{"bitstring": b, **_complex_entry(z, args.precision)} for b, z in nonzero]
-        rows.append({"step": step, "label": label, "ops": [first, last], "state": entries})
+        trace.append(_trace_step(label, (first, last), state.amps, n, args))
         first = last + 1
-    return (state if steps else run(circuit)), rows
+    return (state if steps else run(circuit)), trace
 
 
-def _trace_lines(rows: list[dict], precision: int) -> Iterable[str]:
-    for row in rows:
-        first, last = row["ops"]
-        span = f"op {first}" if first == last else f"ops {first}..{last}"
-        yield f"step {row['step']}  [{row['label']}]  {span}"
-        for entry in row["state"]:
-            yield f"  |{entry['bitstring']}>  {_fmt(entry, precision)}"
+def _trace_step(label, ops, amps: np.ndarray, n_qubits: int, args) -> TraceStep:
+    """The columns of one step's state, with each distinct amplitude rounded once: a
+    gate-built step holds a handful of them, and equal floats round alike."""
+    bits, kept = _nonzero(amps, n_qubits, args.bit_order)
+    distinct, which = np.unique(kept, return_inverse=True)
+    values = [_complex_entry(z, args.precision) for z in distinct.tolist()]
+    return TraceStep(label, ops, bits, which, values)
 
 
-def _with_trace(report: Report, trace_rows: list[dict] | None, summary, precision: int) -> Report:
-    """A traced run's report: the step rows, with the untraced records under "summary"."""
-    if trace_rows is None:
+def _with_trace(report: Report, trace: list[TraceStep] | None, summary) -> Report:
+    """A traced run's report: the steps, with the untraced records under "summary"."""
+    if trace is None:
         return report
-    return Report(
-        {**report.doc, "rows": trace_rows, "summary": summary},
-        ["step", "label", "bitstring", "re", "im"],
-        (
-            [row["step"], row["label"], entry["bitstring"], entry["re"], entry["im"]]
-            for row in trace_rows
-            for entry in row["state"]
-        ),
-        itertools.chain(report.lines, [""], _trace_lines(trace_rows, precision)),
-    )
+    doc = {**report.doc, "rows": [], "summary": summary}
+    return Report(doc, ["step", "label", "bitstring", "re", "im"], [], [*report.lines, ""], trace)
+
+
+def _trace_chunks(trace: list[TraceStep], fmt: str, precision: int) -> Iterator[str]:
+    """The trace in `fmt`, one string per step (json: "rows" without its brackets). Each
+    amplitude's line joins the step's prefix, its bitstring and the tail of its value,
+    which is formatted once per distinct value."""
+    for number, (label, (first, last), bits, which, values) in enumerate(trace):
+        if fmt == "json":
+            head = (
+                f'{"," if number else ""}\n    {{\n      "step": {number},\n'
+                f'      "label": {json.dumps(label)},\n'
+                f'      "ops": [\n        {first},\n        {last}\n      ],\n      "state": [\n'
+            )
+            prefix, sep, foot = '        {\n          "bitstring": "', ",\n", "\n      ]\n    }"
+            tail = '",\n          "re": {re!r},\n          "im": {im!r}\n        }}'.format_map
+        elif fmt == "csv":
+            line = io.StringIO()
+            csv.writer(line, lineterminator="\n").writerow([number, label, ""])
+            head, prefix, sep, foot = "", line.getvalue()[:-1], "\n", ""
+            tail = ",{re!r},{im!r}".format_map
+        else:
+            span = f"op {first}" if first == last else f"ops {first}..{last}"
+            head, prefix, sep, foot = f"step {number}  [{label}]  {span}\n", "  |", "\n", ""
+            tail = lambda entry: ">  " + _fmt(entry, precision)  # noqa: E731
+        tails = [tail(entry) for entry in values]
+        bits = bits.astype(str).tolist()
+        yield head + sep.join([prefix + b + tails[w] for b, w in zip(bits, which.tolist())]) + foot
 
 
 def _resolve_seed(args) -> int:
@@ -232,13 +270,14 @@ def cmd_run(args) -> Report:
     spec = _validate_spec_args(args)
     if args.trace:  # the trace shows gate-level steps, so only it runs the gates
         circuit = build_grover_circuit(spec)
-        final, trace_rows = _simulate(circuit, lambda: grover_step_labels(spec), args)
+        final, trace = _simulate(circuit, lambda: grover_step_labels(spec), args)
         data = data_state(final, spec)
     else:
-        data, trace_rows = grover_data_state(spec), None
+        data, trace = grover_data_state(spec), None
     p = args.precision
-    coords = plane_decompose(data, spec.marked)
-    c_p, c_r = oblique_coords(data, spec.marked)
+    sums = plane_sums(data, spec.marked)
+    coords = plane_decompose(data, spec.marked, sums=sums)
+    c_p, c_r = oblique_coords(data, spec.marked, sums=sums)
     angles = grover_angles(spec.n_qubits, spec.n_marked)
     per_marked = {
         _oriented(b, args.bit_order): _r(data.probability(b), p) for b in spec.marked
@@ -274,7 +313,7 @@ def cmd_run(args) -> Report:
     table = [list(leaf) for leaf in _flatten(summary)]
     doc = _document("run", _spec_echo(spec, args), [summary])
     report = Report(doc, ["quantity", "value"], table, lines)
-    return _with_trace(report, trace_rows, summary, p)
+    return _with_trace(report, trace, summary)
 
 
 def cmd_sweep(args) -> Report:
@@ -373,28 +412,41 @@ def cmd_load(args) -> Report:
         raise UsageError(
             f"--file: {len(circuit)} ops x 2^{circuit.n_qubits} amplitudes exceed {MAX_LOAD_WORK}"
         )
-    final, trace_rows = _simulate(circuit, lambda: map(op_to_text, circuit.ops), args)
+    final, trace = _simulate(circuit, lambda: map(op_to_text, circuit.ops), args)
     p = args.precision
-    probs = _nonzero(final.probabilities(), circuit.n_qubits, args.bit_order)
-    records = [{"bitstring": bits, "p": _r(value, p)} for bits, value in probs]
+    bits, probs = _nonzero(final.probabilities(), circuit.n_qubits, args.bit_order)
+    pairs = zip(bits.astype(str).tolist(), probs.tolist())
+    records = [{"bitstring": b, "p": _r(value, p)} for b, value in pairs]
     records.sort(key=lambda d: (-d["p"], d["bitstring"]))
     lines = [f"source: {source}", f"n: {circuit.n_qubits}", f"ops: {len(circuit)}"]
     lines += [f"p({d['bitstring']}): {_fmt(d['p'], p)}" for d in records]
     spec_echo = {"source": source, "n": circuit.n_qubits, "bit_order": args.bit_order}
     report = Report(_document("load", spec_echo, records), *_records_table(records), lines)
-    return _with_trace(report, trace_rows, records, p)
+    return _with_trace(report, trace, records)
 
 
-def _emit(report: Report, fmt: str) -> None:
-    """Print a command's report as json, csv or text: the one place --format is read."""
+def _emit(report: Report, fmt: str, precision: int) -> None:
+    """Print a command's report as json, csv or text: the one place --format is read.
+
+    A trace is written one step at a time, so only one step's lines are held at once.
+    """
+    chunks = _trace_chunks(report.trace or [], fmt, precision)
     if fmt == "json":
-        print(json.dumps(report.doc, indent=2))
+        text = json.dumps(report.doc, indent=2)
+        if report.trace:
+            head, _, tail = text.partition(_TRACE_ROWS)
+            sys.stdout.write(head + _TRACE_ROWS[:-1])
+            sys.stdout.writelines(chunks)
+            text = "\n  ]" + tail
+        print(text)
     elif fmt == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(report.columns)
         writer.writerows(report.rows)
+        for chunk in chunks:
+            print(chunk)
     else:
-        for line in report.lines:
+        for line in itertools.chain(report.lines, chunks):
             print(line)
 
 
@@ -455,7 +507,7 @@ def main(argv: list[str] | None = None) -> int:
         precision = getattr(args, "precision", 6)
         if not 0 <= precision <= 17:
             raise UsageError(f"--precision: must be in 0..17, got {precision}")
-        _emit(args.func(args), getattr(args, "format", "text"))
+        _emit(args.func(args), getattr(args, "format", "text"), precision)
     except SpecError as err:
         flag = _SPEC_FLAGS[err.field]
         if err.field == "seed" and args.seed is None:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -125,21 +125,32 @@ def marked_plane_basis(n_qubits: int, marked: Sequence[str]) -> tuple[StateVecto
     )
 
 
-def _plane_sums(state: StateVector, marked: Sequence[str]) -> tuple[list[int], complex, complex]:
+class PlaneSums(NamedTuple):
     """Marked indices, the sum s_m of the marked amplitudes and the sum S of all N."""
+
+    indices: list[int]
+    s_m: complex
+    total: complex
+
+
+def plane_sums(state: StateVector, marked: Sequence[str]) -> PlaneSums:
+    """The sums that plane_decompose and oblique_coords take; checks `marked`."""
     indices = _marked_indices(state.n_qubits, marked)
-    return indices, complex(state.amps[indices].sum()), complex(state.amps.sum())
+    return PlaneSums(indices, complex(state.amps[indices].sum()), complex(state.amps.sum()))
 
 
-def plane_decompose(state: StateVector, marked: Sequence[str]) -> PlaneCoords:
+def plane_decompose(
+    state: StateVector, marked: Sequence[str], *, sums: PlaneSums | None = None
+) -> PlaneCoords:
     """Project a data-qubit state onto the marked/unmarked plane.
 
     For ancilla-style circuits run strip_ancilla first; this operates on
     data qubits only. Needs no basis vectors: with s_m the sum over the m
     marked amplitudes and S the sum over all N, a_marked = s_m/sqrt(m) and
     a_unmarked = (S - s_m)/sqrt(N - m). The residual is one more pass.
+    `sums`, when given, are the `plane_sums(state, marked)` a caller already took.
     """
-    indices, s_m, total = _plane_sums(state, marked)
+    indices, s_m, total = plane_sums(state, marked) if sums is None else sums
     root_m, root_u = math.sqrt(len(indices)), math.sqrt(len(state.amps) - len(indices))
     a_marked = s_m / root_m
     a_unmarked = (total - s_m) / root_u
@@ -169,15 +180,18 @@ def plane_angle(coords: PlaneCoords) -> float:
     return math.atan2(r_m, r_u) % math.pi
 
 
-def oblique_coords(state: StateVector, marked: Sequence[str]) -> tuple[complex, complex]:
+def oblique_coords(
+    state: StateVector, marked: Sequence[str], *, sums: PlaneSums | None = None
+) -> tuple[complex, complex]:
     """Coefficients (c_p, c_r) with state = c_p*|uniform> + c_r*|beta>.
 
     The pair is not orthogonal; (c_p, c_r) solve its 2x2 Gram system, which
     gives the projection onto the plane for any state, in the plane or not.
     From the sums of plane_decompose: c_p = (S - s_m)*sqrt(N)/(N - m) and
     c_r = s_m/sqrt(m) - (S - s_m)*sqrt(m)/(N - m). No basis vector is built.
+    `sums` is as for plane_decompose.
     """
-    indices, s_m, total = _plane_sums(state, marked)
+    indices, s_m, total = plane_sums(state, marked) if sums is None else sums
     dim, m = 1 << state.n_qubits, len(indices)
     c_p = (total - s_m) * math.sqrt(dim) / (dim - m)
     c_r = s_m / math.sqrt(m) - (total - s_m) * math.sqrt(m) / (dim - m)

@@ -1,11 +1,17 @@
 import argparse
+import contextlib
 import csv
 import io
 import json
+import os
+import tracemalloc
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from grover_kit import cli
+from grover_kit import cli, geometry
 from grover_kit.cli import main
 
 EXPECTED_TRACE_LABELS = [
@@ -390,6 +396,128 @@ def test_load_trace_empty_circuit(capsys, monkeypatch, fmt):
         doc = json.loads(out)
         assert doc["rows"] == []
         assert doc["summary"] == [{"bitstring": "00", "p": 1.0}]
+
+
+def test_run_takes_the_plane_sums_once(capsys, monkeypatch):
+    calls, plane_sums = [], geometry.plane_sums
+
+    def counting(*args):
+        calls.append(args)
+        return plane_sums(*args)
+
+    monkeypatch.setattr(cli, "plane_sums", counting)
+    monkeypatch.setattr(geometry, "plane_sums", counting)
+    code, _, _ = run_cli(capsys, "run", "--n", "4", "--marked", "0010", "--iterations", "1")
+    assert code == 0
+    assert len(calls) == 1
+
+
+# Reference trace renderer: one dict per kept amplitude, rendered by json.dumps, csv.writer
+# and the line generator below. The columnar renderer in cli must match it byte for byte.
+def reference_trace_rows(raw_steps, n_qubits, bit_order, precision):
+    rows = []
+    for step, (label, (first, last), amps) in enumerate(raw_steps):
+        keep = np.flatnonzero(np.abs(amps) > cli.AMPLITUDE_CUTOFF)
+        bits = (cli._oriented(format(i, f"0{n_qubits}b"), bit_order) for i in keep.tolist())
+        entries = [
+            {"bitstring": b, **cli._complex_entry(z, precision)}
+            for b, z in zip(bits, amps[keep].tolist())
+        ]
+        rows.append({"step": step, "label": label, "ops": [first, last], "state": entries})
+    return rows
+
+
+def reference_trace_lines(rows, precision):
+    for row in rows:
+        first, last = row["ops"]
+        span = f"op {first}" if first == last else f"ops {first}..{last}"
+        yield f"step {row['step']}  [{row['label']}]  {span}"
+        for entry in row["state"]:
+            yield f"  |{entry['bitstring']}>  {cli._fmt(entry, precision)}"
+
+
+def reference_trace_output(report, rows, summary, fmt, precision):
+    if fmt == "json":
+        return json.dumps({**report.doc, "rows": rows, "summary": summary}, indent=2) + "\n"
+    out = io.StringIO()
+    if fmt == "csv":
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(["step", "label", "bitstring", "re", "im"])
+        writer.writerows(
+            [row["step"], row["label"], entry["bitstring"], entry["re"], entry["im"]]
+            for row in rows
+            for entry in row["state"]
+        )
+    else:
+        for line in [*report.lines, "", *reference_trace_lines(rows, precision)]:
+            print(line, file=out)
+    return out.getvalue()
+
+
+# Components that round to -0, sit on either side of AMPLITUDE_CUTOFF, or repeat as
+# gate-built amplitudes do.
+COMPONENTS = st.one_of(
+    st.sampled_from(
+        [0.0, -0.0, 5e-13, -5e-13, 2e-12, -2e-12, -4e-7, 4e-7, 0.5, -0.5, 0.35355339059327373]
+    ),
+    st.floats(-1.0, 1.0),
+)
+
+
+@st.composite
+def raw_traces(draw):
+    """(wires, [(label, (first, last), amps)]): a few distinct amplitudes per step, at
+    least one of them above the cutoff, as a state of unit norm has."""
+    n = draw(st.integers(1, 4))
+    steps, first = [], 0
+    for _ in range(draw(st.integers(0, 4))):
+        pool = draw(st.lists(st.builds(complex, COMPONENTS, COMPONENTS), min_size=1, max_size=4))
+        picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1 << n, max_size=1 << n))
+        amps = np.array([pool[i] for i in picks], dtype=np.complex128)
+        amps[draw(st.integers(0, (1 << n) - 1))] = complex(draw(st.sampled_from([1.0, -0.5])), 0.0)
+        label = draw(st.one_of(st.sampled_from(["1.1", "k1 2.1[01]", "MCX c=0,1 t=2"]), st.text()))
+        last = first + draw(st.integers(0, 3))
+        steps.append((label, (first, last), amps))
+        first = last + 1
+    return n, steps
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    raw_traces(),
+    st.integers(0, 17),
+    st.sampled_from(["msb", "lsb"]),
+    st.sampled_from(["text", "json", "csv"]),
+    st.text(),
+)
+def test_trace_renderer_matches_reference(raw, precision, bit_order, fmt, source):
+    n, raw_steps = raw
+    args = argparse.Namespace(bit_order=bit_order, precision=precision)
+    steps = [cli._trace_step(label, ops, amps, n, args) for label, ops, amps in raw_steps]
+    summary = [{"bitstring": "0" * n, "p": 1.0}]
+    doc = cli._document("load", {"source": source, "n": n, "bit_order": bit_order}, summary)
+    report = cli.Report(doc, *cli._records_table(summary), [f"source: {source}"])
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._emit(cli._with_trace(report, steps, summary), fmt, precision)
+    rows = reference_trace_rows(raw_steps, n, bit_order, precision)
+    assert out.getvalue() == reference_trace_output(report, rows, summary, fmt, precision)
+
+
+def test_trace_memory_per_kept_amplitude():
+    # 9 steps, each keeping all 2^14 amplitudes. The columns and one rendered step take ~62 B
+    # per amplitude; a dict per amplitude and a whole rendered document take ~1 KiB.
+    argv = ["run", "--n", "14", "--marked", "0" * 14, "--iterations", "1", "--trace",
+            "--format", "json"]
+    tracemalloc.start()
+    try:
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            code = main(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak / (9 << 14) < 512
 
 
 def test_load_parse_error(capsys, tmp_path):
