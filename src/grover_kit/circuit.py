@@ -43,6 +43,7 @@ inferred as max index + 1.
 from __future__ import annotations
 
 import enum
+import io
 import math
 from dataclasses import dataclass
 
@@ -59,6 +60,9 @@ from grover_kit.statevector import (
 )
 
 MAX_DENSE_QUBITS = 10
+# Running a circuit costs about one pass over 2^wires amplitudes per op, so ops x 2^wires
+# bounds its work. H at n=20 takes 8.3 ms, 7.9 ns per amplitude, so this limit is about 34 s.
+MAX_LOAD_WORK = 1 << 32
 
 
 def _check_index(q) -> None:
@@ -367,12 +371,16 @@ def circuit_from_text(text: str) -> Circuit:
     """Parse the line format back into a Circuit.
 
     Errors name the line number and the offending token. Width comes from a
-    ``# qubits: N`` comment when present, otherwise max index + 1.
+    ``# qubits: N`` comment when present, otherwise max index + 1. Parsing
+    stops as soon as ops x 2^width, width being the declared one or max
+    index + 1 so far, exceeds MAX_LOAD_WORK.
     """
     ops: list[Gate] = []
     declared_width: int | None = None
     max_index = -1
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # The lines of text.splitlines(), without holding them all: \n ends each StringIO line.
+    lines = (part for line in io.StringIO(text) for part in line.splitlines())
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         comment = raw.split("#", 1)[1].strip() if "#" in raw else ""
         if comment.startswith("qubits:"):
@@ -401,6 +409,10 @@ def circuit_from_text(text: str) -> Circuit:
             raise ValueError(f"line {lineno}: {exc}") from None
         max_index = max(max_index, *op.qubits)
         ops.append(op)
+        width = max_index + 1 if declared_width is None else declared_width
+        if len(ops) > MAX_LOAD_WORK >> max(width, 0):
+            check_n_qubits(width)  # a width out of range is the fault to name
+            raise ValueError(f"{len(ops)} ops x 2^{width} amplitudes exceed {MAX_LOAD_WORK}")
     if declared_width is None:
         if max_index < 0:
             raise ValueError("no ops and no '# qubits: N' header, width unknown")

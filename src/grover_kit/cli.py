@@ -68,25 +68,19 @@ AMPLITUDE_CUTOFF = 1e-12
 # writes one step at a time. A json trace of 933,888 amplitudes at n=14 took 1.4-1.5 s with a
 # 61 MiB peak RSS on a 2-vCPU machine, so this limit bounds time rather than memory.
 MAX_TRACE_AMPLITUDES = 1 << 20
-# `load` runs each op as about one pass over 2^wires amplitudes, so ops x 2^wires bounds its
-# work. H at n=20 takes 8.3 ms, 7.9 ns per amplitude, so this limit is about 34 s.
-MAX_LOAD_WORK = 1 << 32
 
 _STYLE_FLAGS = {"mcz": OracleStyle.MCZ_DIRECT, "mcx-ancilla": OracleStyle.MCX_ANCILLA}
-# Field named by a SpecError -> the flag that supplied it.
+# Field named by a SpecError -> the flag that supplied it: every exit 2 but argparse's.
 _SPEC_FLAGS = {
     "n_qubits": "--n", "marked": "--marked", "iterations": "--iterations", "m": "--m",
-    "k_max": "--kmax", "shots": "--shots", "seed": "--seed",
+    "k_max": "--kmax", "shots": "--shots", "seed": "--seed", "trace": "--trace",
+    "file": "--file", "out": "--out", "precision": "--precision",
 }
 # Leaf names of nested summary keys in run's CSV; other nested keys prefix their leaves.
 _CSV_NAMES = {"p_per_marked": "p({})", "plane": "{}", "oblique": "{}"}
 # A traced json doc holds "rows": [] in this spot, the one top-level "rows" key: json.dumps
 # escapes newlines in strings, so a newline and a 2-space indent only ever start a top-level key.
 _TRACE_ROWS = '\n  "rows": []'
-
-
-class UsageError(Exception):
-    """Bad flag value or inconsistent invocation; maps to exit code 2."""
 
 
 class TraceStep(NamedTuple):
@@ -102,16 +96,13 @@ class TraceStep(NamedTuple):
 
 
 class Report(NamedTuple):
-    """One command's output, built once and printed by `_emit` in the chosen format.
-
-    `rows` and `lines` may be lazy: only the requested format is consumed. A `trace`
-    fills json "rows" and follows the csv rows and text lines.
-    """
+    """One command's output, built once and printed by `_emit` in the chosen format: the
+    json document, the csv rows with the header first, and the text lines. A `trace` fills
+    json "rows" and follows the csv rows and text lines."""
 
     doc: dict | None
-    columns: list[str]
-    rows: Iterable[list]
-    lines: Iterable[str]
+    table: list[list]
+    lines: list[str]
     trace: list[TraceStep] | None = None
 
 
@@ -141,19 +132,26 @@ def _spec_echo(spec: GroverSpec, args) -> dict:
     }
 
 
-def _document(command: str, spec_echo: dict, rows: list, **extra) -> dict:
-    return {
+def _report(
+    command: str, echo: dict, rows: list, lines: list[str], table: list[list] | None = None,
+    trace: list[TraceStep] | None = None, summary=None, **extra,
+) -> Report:
+    """A command's report. `table` defaults to `rows` read as flat records that all share the
+    first one's keys. A traced report holds the steps in place of the rows, with `summary`, the
+    untraced records, under "summary" in json, and a blank line before the steps in text."""
+    doc = {
         "command": command,
         "versions": {"tool": __version__, "format": FORMAT_VERSION},
-        "spec": spec_echo,
-        "rows": rows,
+        "spec": echo,
+        "rows": rows if trace is None else [],
         **extra,
     }
-
-
-def _records_table(records: list[dict]) -> tuple[list[str], list[list]]:
-    """CSV columns and rows of flat records that all share the first one's keys."""
-    return list(records[0]), [list(record.values()) for record in records]
+    if trace is not None:
+        doc["summary"] = summary
+        return Report(doc, [["step", "label", "bitstring", "re", "im"]], [*lines, ""], trace)
+    if table is None:
+        table = [list(rows[0]), *(list(row.values()) for row in rows)]
+    return Report(doc, table, lines)
 
 
 def _flatten(mapping: dict, pattern: str = "{}") -> Iterable[tuple[str, object]]:
@@ -183,6 +181,11 @@ def _fmt(value: float | dict, precision: int) -> str:
     return f"{_fmt(value['re'], precision)}{value['im']:+.{precision}f}j"
 
 
+def _line(key: str, value, precision: int) -> str:
+    """A ``key: value`` text line: an int or a string as it is, a rounded value by `_fmt`."""
+    return f"{key}: {value if isinstance(value, (int, str)) else _fmt(value, precision)}"
+
+
 def _nonzero(values: np.ndarray, n_qubits: int, bit_order: str) -> tuple[np.ndarray, np.ndarray]:
     """Bitstrings (an S<n_qubits> array) and values of the entries whose magnitude is above
     the cutoff, in index order."""
@@ -199,8 +202,8 @@ def _simulate(circuit, labels, args) -> tuple[StateVector, list[TraceStep] | Non
     n = circuit.n_qubits
     steps = [(label, sum(1 for _ in group)) for label, group in itertools.groupby(labels())]
     if len(steps) << n > MAX_TRACE_AMPLITUDES:
-        raise UsageError(
-            f"--trace: {len(steps)} steps x 2^{n} amplitudes exceed {MAX_TRACE_AMPLITUDES}"
+        raise SpecError(
+            "trace", f"{len(steps)} steps x 2^{n} amplitudes exceed {MAX_TRACE_AMPLITUDES}"
         )
     state, trace, first = None, [], 0  # the first slice starts from |0...0>
     for label, size in steps:
@@ -218,14 +221,6 @@ def _trace_step(label, ops, amps: np.ndarray, n_qubits: int, args) -> TraceStep:
     distinct, which = np.unique(kept, return_inverse=True)
     values = [_complex_entry(z, args.precision) for z in distinct.tolist()]
     return TraceStep(label, ops, bits, which, values)
-
-
-def _with_trace(report: Report, trace: list[TraceStep] | None, summary) -> Report:
-    """A traced run's report: the steps, with the untraced records under "summary"."""
-    if trace is None:
-        return report
-    doc = {**report.doc, "rows": [], "summary": summary}
-    return Report(doc, ["step", "label", "bitstring", "re", "im"], [], [*report.lines, ""], trace)
 
 
 def _trace_chunks(trace: list[TraceStep], fmt: str, precision: int) -> Iterator[str]:
@@ -263,7 +258,7 @@ def _resolve_seed(args) -> int:
     try:
         return int(raw)
     except ValueError:
-        raise UsageError(f"{SEED_ENV_VAR}: not an integer: {raw!r}") from None
+        raise SpecError("seed", f"not an integer: {raw!r}") from None
 
 
 def cmd_run(args) -> Report:
@@ -304,16 +299,14 @@ def cmd_run(args) -> Report:
         f"marked: {' '.join(per_marked)}",
         f"iterations: {spec.iterations}",
         f"style: {args.style}",
-        *(f"{key}: {_fmt(summary[key], p)}" for key in scalars),
-        *(f"p({bits}): {_fmt(value, p)}" for bits, value in per_marked.items()),
-        *(f"{key}: {_fmt(value, p)}" for key, value in summary["plane"].items()),
-        f"angle: {_fmt(summary['angle'], p)}",
+        *(_line(key, summary[key], p) for key in scalars),
+        *(_line(f"p({bits})", value, p) for bits, value in per_marked.items()),
+        *(_line(key, value, p) for key, value in summary["plane"].items()),
+        _line("angle", summary["angle"], p),
         "oblique: " + " ".join(f"{key}={_fmt(z, p)}" for key, z in summary["oblique"].items()),
     ]
-    table = [list(leaf) for leaf in _flatten(summary)]
-    doc = _document("run", _spec_echo(spec, args), [summary])
-    report = Report(doc, ["quantity", "value"], table, lines)
-    return _with_trace(report, trace, summary)
+    table = [["quantity", "value"], *(list(leaf) for leaf in _flatten(summary))]
+    return _report("run", _spec_echo(spec, args), [summary], lines, table, trace, summary)
 
 
 def cmd_sweep(args) -> Report:
@@ -331,8 +324,7 @@ def cmd_sweep(args) -> Report:
         f"{row.k:>3}  " + "  ".join(f"{getattr(row, f):>{w}.{p}f}" for f, w in zip(fields, widths))
         for row in rows
     ]
-    echo = _spec_echo(replace(spec, iterations=args.kmax), args)
-    return Report(_document("sweep", echo, records), *_records_table(records), lines)
+    return _report("sweep", _spec_echo(replace(spec, iterations=args.kmax), args), records, lines)
 
 
 def cmd_predict(args) -> Report:
@@ -350,16 +342,11 @@ def cmd_predict(args) -> Report:
         "p_marked_formula": _r(predicted_success(args.n, args.m, k), p),
         "p_each_unmarked": _r(p_each_unmarked(args.n, args.m, k), p),
     }
-    spec_echo = {key: result[key] for key in ("n", "m", "iterations", "optimal")}
-    table = [[key, value] for key, value in result.items() if key != "optimal"]
-    lines = [f"{key}: {value}" for key, value in spec_echo.items()]
-    lines += [f"{key}: {_fmt(value, p)}" for key, value in result.items() if key not in spec_echo]
-    return Report(
-        _document("predict", spec_echo, [result]),
-        ["quantity", "value"],
-        table + [["optimal", int(result["optimal"])]],
-        lines,
-    )
+    echo = {key: result[key] for key in ("n", "m", "iterations", "optimal")}
+    rows = ([key, value] for key, value in result.items() if key != "optimal")
+    table = [["quantity", "value"], *rows, ["optimal", int(args.optimal)]]
+    lines = [_line(key, value, p) for key, value in result.items()]
+    return _report("predict", echo, [result], lines, table)
 
 
 def cmd_sample(args) -> Report:
@@ -374,44 +361,33 @@ def cmd_sample(args) -> Report:
     records.sort(key=lambda d: (-d["count"], d["bitstring"]))
     lines = [f"shots: {histogram.shots}", f"seed: {histogram.seed}"]
     lines += [f"{d['bitstring']}  {d['count']}" for d in records]
-    doc = _document(
-        "sample", _spec_echo(spec, args), records, shots=histogram.shots, seed=histogram.seed
-    )
-    return Report(doc, *_records_table(records), lines)
+    echo = _spec_echo(spec, args)
+    return _report("sample", echo, records, lines, shots=histogram.shots, seed=histogram.seed)
 
 
 def cmd_dump(args) -> Report:
     spec = _validate_spec_args(args)
     text = circuit_to_text(build_grover_circuit(spec))
     if args.out is None or args.out == "-":
-        return Report(None, [], [], text.splitlines())
+        return Report(None, [], text.splitlines())
     try:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as err:
-        raise UsageError(f"--out: {err}") from None
-    return Report(None, [], [], [])
+        raise SpecError("out", str(err)) from None
+    return Report(None, [], [])
 
 
 def cmd_load(args) -> Report:
-    if args.file is None or args.file == "-":
-        text = sys.stdin.read()
-        source = "<stdin>"
-    else:
-        try:
+    try:  # a read, decode, parse, width or work error; UnicodeDecodeError is a ValueError
+        if args.file is None or args.file == "-":
+            text, source = sys.stdin.read(), "<stdin>"
+        else:
             with open(args.file, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except (OSError, UnicodeDecodeError) as err:
-            raise UsageError(f"--file: {err}") from None
-        source = args.file
-    try:
+                text, source = fh.read(), args.file
         circuit = circuit_from_text(text)
-    except (ValueError, IndexError) as err:
-        raise UsageError(f"--file: {err}") from None
-    if len(circuit) << circuit.n_qubits > MAX_LOAD_WORK:
-        raise UsageError(
-            f"--file: {len(circuit)} ops x 2^{circuit.n_qubits} amplitudes exceed {MAX_LOAD_WORK}"
-        )
+    except (OSError, ValueError, IndexError) as err:
+        raise SpecError("file", str(err)) from None
     final, trace = _simulate(circuit, lambda: map(op_to_text, circuit.ops), args)
     p = args.precision
     bits, probs = _nonzero(final.probabilities(), circuit.n_qubits, args.bit_order)
@@ -419,10 +395,9 @@ def cmd_load(args) -> Report:
     records = [{"bitstring": b, "p": _r(value, p)} for b, value in pairs]
     records.sort(key=lambda d: (-d["p"], d["bitstring"]))
     lines = [f"source: {source}", f"n: {circuit.n_qubits}", f"ops: {len(circuit)}"]
-    lines += [f"p({d['bitstring']}): {_fmt(d['p'], p)}" for d in records]
-    spec_echo = {"source": source, "n": circuit.n_qubits, "bit_order": args.bit_order}
-    report = Report(_document("load", spec_echo, records), *_records_table(records), lines)
-    return _with_trace(report, trace, records)
+    lines += [_line(f"p({d['bitstring']})", d["p"], p) for d in records]
+    echo = {"source": source, "n": circuit.n_qubits, "bit_order": args.bit_order}
+    return _report("load", echo, records, lines, trace=trace, summary=records)
 
 
 def _emit(report: Report, fmt: str, precision: int) -> None:
@@ -441,8 +416,7 @@ def _emit(report: Report, fmt: str, precision: int) -> None:
         print(text)
     elif fmt == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(report.columns)
-        writer.writerows(report.rows)
+        writer.writerows(report.table)
         for chunk in chunks:
             print(chunk)
     else:
@@ -506,16 +480,13 @@ def main(argv: list[str] | None = None) -> int:
     try:
         precision = getattr(args, "precision", 6)
         if not 0 <= precision <= 17:
-            raise UsageError(f"--precision: must be in 0..17, got {precision}")
+            raise SpecError("precision", f"must be in 0..17, got {precision}")
         _emit(args.func(args), getattr(args, "format", "text"), precision)
     except SpecError as err:
         flag = _SPEC_FLAGS[err.field]
         if err.field == "seed" and args.seed is None:
             flag = SEED_ENV_VAR  # the seed came from the environment
         print(f"error: {flag}: {err}", file=sys.stderr)
-        return 2
-    except UsageError as err:
-        print(f"error: {err}", file=sys.stderr)
         return 2
     except BrokenPipeError:
         return 1

@@ -28,7 +28,9 @@ _SQRT2_INV = 1.0 / np.sqrt(2.0)
 
 
 class SpecError(ValueError):
-    """An argument fails validation; `field` names it (a GroverSpec field or a parameter)."""
+    """An argument fails validation; `field` names it: a GroverSpec field, a parameter, or
+    one of the CLI-only values ``trace``, ``file``, ``out`` and ``precision``. The CLI maps
+    each field to the flag that supplied it and exits 2."""
 
     def __init__(self, field: str, message: str):
         super().__init__(message)

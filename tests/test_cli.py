@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grover_kit import cli, geometry
+from grover_kit import circuit, cli, geometry
 from grover_kit.cli import main
 
 EXPECTED_TRACE_LABELS = [
@@ -140,8 +140,6 @@ SPEC_FLAGS = ["--n", "4", "--marked", "0010", "1101", "--style", "mcx-ancilla"]
 )
 def test_command_picks_the_executor(capsys, monkeypatch, argv, gate_path):
     """Untraced Grover commands run no gates; a trace or a loaded circuit runs them."""
-    from grover_kit import circuit
-
     calls = []
     for name in ("_apply_single_inplace", "_apply_multicontrolled_inplace"):
         kernel = getattr(circuit, name)
@@ -361,7 +359,7 @@ def test_load_work_limit(capsys, monkeypatch, trace, ops, code):
     def no_simulation(*_):
         raise AssertionError("the work must be checked before the circuit runs")
 
-    monkeypatch.setattr(cli, "MAX_LOAD_WORK", 8)
+    monkeypatch.setattr(circuit, "MAX_LOAD_WORK", 8)
     if code:
         monkeypatch.setattr(cli, "run", no_simulation)
     monkeypatch.setattr("sys.stdin", io.StringIO("# qubits: 2\n" + "H 0\n" * ops))
@@ -370,6 +368,22 @@ def test_load_work_limit(capsys, monkeypatch, trace, ops, code):
     if code:
         assert out == ""
         assert err.startswith("error: --file:")
+
+
+def test_load_work_is_bounded_while_parsing(capsys, monkeypatch):
+    # 4,097 ops at 20 wires already exceed MAX_LOAD_WORK. Parsing all 200,000 ops before the
+    # check peaked at 32 MiB (tracemalloc); refusing as the ops accumulate peaked at 4.4 MiB.
+    monkeypatch.setattr("sys.stdin", io.StringIO("# qubits: 20\n" + "H 0\n" * 200_000))
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "load")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --file:")
+    assert peak < 8 << 20
 
 
 def test_run_trace_size_limit(capsys, monkeypatch):
@@ -495,11 +509,12 @@ def test_trace_renderer_matches_reference(raw, precision, bit_order, fmt, source
     args = argparse.Namespace(bit_order=bit_order, precision=precision)
     steps = [cli._trace_step(label, ops, amps, n, args) for label, ops, amps in raw_steps]
     summary = [{"bitstring": "0" * n, "p": 1.0}]
-    doc = cli._document("load", {"source": source, "n": n, "bit_order": bit_order}, summary)
-    report = cli.Report(doc, *cli._records_table(summary), [f"source: {source}"])
+    echo = {"source": source, "n": n, "bit_order": bit_order}
+    report = cli._report("load", echo, summary, [f"source: {source}"])
+    traced = cli._report("load", echo, summary, report.lines, trace=steps, summary=summary)
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        cli._emit(cli._with_trace(report, steps, summary), fmt, precision)
+        cli._emit(traced, fmt, precision)
     rows = reference_trace_rows(raw_steps, n, bit_order, precision)
     assert out.getvalue() == reference_trace_output(report, rows, summary, fmt, precision)
 

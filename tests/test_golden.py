@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from grover_kit.cli import main
+from grover_kit.cli import _SPEC_FLAGS, SEED_ENV_VAR, main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 FORMATS = ("text", "json", "csv")
@@ -167,6 +167,36 @@ def test_golden(name, in_golden_dir):
         assert err == ""
     else:
         assert _stderr_head(err) == status["stderr"]
+
+
+def _exit_2_cases() -> dict[str, tuple[list[str], dict[str, str]]]:
+    """Every exit-2 golden case but argparse's usage errors, an --out that cannot be written
+    and a bad seed in the environment: name -> (argv, environment)."""
+    cases = {
+        name: (argv, {})
+        for name, (argv, _) in CASES.items()
+        if name.startswith("error-") and not name.startswith("error-usage-")
+    }
+    unwritable = str(GOLDEN / "no-such-dir" / "x.circ")
+    cases["dump-out-unwritable"] = (["dump", "--n", "2", "--marked", "01", "--out", unwritable], {})
+    sample = ["sample", "--n", "3", "--marked", "001", "--shots", "3"]
+    cases["sample-env-seed"] = (sample, {SEED_ENV_VAR: "x"})
+    return cases
+
+
+EXIT_2_CASES = _exit_2_cases()
+
+
+@pytest.mark.parametrize("name", sorted(EXIT_2_CASES))
+def test_every_exit_2_names_a_flag_from_the_table(name, in_golden_dir, monkeypatch):
+    argv, env = EXIT_2_CASES[name]
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    code, out, err = _invoke(argv, None)
+    assert (code, out) == (2, "")
+    flag = err.split(":")[1].strip()
+    assert err.startswith(f"error: {flag}:")
+    assert flag in {*_SPEC_FLAGS.values(), SEED_ENV_VAR}
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
