@@ -60,9 +60,13 @@ from grover_kit.statevector import (
 )
 
 MAX_DENSE_QUBITS = 10
-# Running a circuit costs about one pass over 2^wires amplitudes per op, so ops x 2^wires
-# bounds its work. H at n=20 takes 8.3 ms, 7.9 ns per amplitude, so this limit is about 34 s.
+# Running a circuit costs about one pass over 2^wires amplitudes per op, plus a fixed cost per
+# op, so ops x (2^wires + LOAD_OP_WORK) bounds its work in amplitude updates. H at n=20 takes
+# 8.3 ms, 7.9 ns per amplitude, so this limit is about 34 s.
 MAX_LOAD_WORK = 1 << 32
+# Parsing, running and reporting an `H 0` op at 2 wires took 11-13 us, 1,200-1,600 updates'
+# worth, on a 2-vCPU machine. This bounds a file at 2 wires to 2,093,063 ops.
+LOAD_OP_WORK = 1 << 11
 
 
 def _check_index(q) -> None:
@@ -372,8 +376,8 @@ def circuit_from_text(text: str) -> Circuit:
 
     Errors name the line number and the offending token. Width comes from a
     ``# qubits: N`` comment when present, otherwise max index + 1. Parsing
-    stops as soon as ops x 2^width, width being the declared one or max
-    index + 1 so far, exceeds MAX_LOAD_WORK.
+    stops as soon as ops x (2^width + LOAD_OP_WORK), width being the declared
+    one or max index + 1 so far, exceeds MAX_LOAD_WORK.
     """
     ops: list[Gate] = []
     declared_width: int | None = None
@@ -410,9 +414,13 @@ def circuit_from_text(text: str) -> Circuit:
         max_index = max(max_index, *op.qubits)
         ops.append(op)
         width = max_index + 1 if declared_width is None else declared_width
-        if len(ops) > MAX_LOAD_WORK >> max(width, 0):
+        # Past 32 wires one op is over the bound; testing that first keeps 1 << width small.
+        if width > 32 or len(ops) * ((1 << max(width, 0)) + LOAD_OP_WORK) > MAX_LOAD_WORK:
             check_n_qubits(width)  # a width out of range is the fault to name
-            raise ValueError(f"{len(ops)} ops x 2^{width} amplitudes exceed {MAX_LOAD_WORK}")
+            raise ValueError(
+                f"{len(ops)} ops x (2^{width} + {LOAD_OP_WORK}) amplitude updates exceed "
+                f"{MAX_LOAD_WORK}"
+            )
     if declared_width is None:
         if max_index < 0:
             raise ValueError("no ops and no '# qubits: N' header, width unknown")

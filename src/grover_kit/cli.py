@@ -28,7 +28,8 @@ import json
 import os
 import sys
 from dataclasses import replace
-from typing import Iterable, Iterator, NamedTuple
+from functools import partial
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -59,7 +60,7 @@ from grover_kit.geometry import (
     predicted_success,
 )
 from grover_kit.sampling import check_shots_and_seed, measure_all
-from grover_kit.statevector import StateVector, check_n_qubits
+from grover_kit.statevector import StateVector, bitstrings, check_n_qubits
 
 FORMAT_VERSION = "1"
 SEED_ENV_VAR = "GROVER_KIT_SEED"
@@ -78,9 +79,12 @@ _SPEC_FLAGS = {
 }
 # Leaf names of nested summary keys in run's CSV; other nested keys prefix their leaves.
 _CSV_NAMES = {"p_per_marked": "p({})", "plane": "{}", "oblique": "{}"}
-# A traced json doc holds "rows": [] in this spot, the one top-level "rows" key: json.dumps
-# escapes newlines in strings, so a newline and a 2-space indent only ever start a top-level key.
-_TRACE_ROWS = '\n  "rows": []'
+# A json doc whose rows are rendered as chunks holds "rows": [] in this spot, the one top-level
+# "rows" key: json.dumps escapes newlines in strings, so a newline and a 2-space indent only ever
+# start a top-level key.
+_ROWS = '\n  "rows": []'
+# Histogram rows per rendered chunk: bounds the strings held at 2^20 distinct outcomes.
+_HISTOGRAM_BLOCK = 1 << 12
 
 
 class TraceStep(NamedTuple):
@@ -97,13 +101,14 @@ class TraceStep(NamedTuple):
 
 class Report(NamedTuple):
     """One command's output, built once and printed by `_emit` in the chosen format: the
-    json document, the csv rows with the header first, and the text lines. A `trace` fills
-    json "rows" and follows the csv rows and text lines."""
+    json document, the csv rows with the header first, and the text lines. `chunks(fmt,
+    precision)`, when set, renders rows from columns: they fill json "rows" and follow the
+    csv rows and text lines."""
 
     doc: dict | None
     table: list[list]
     lines: list[str]
-    trace: list[TraceStep] | None = None
+    chunks: Callable[[str, int], Iterator[str]] | None = None
 
 
 def _oriented(bits: str, bit_order: str) -> str:
@@ -134,11 +139,12 @@ def _spec_echo(spec: GroverSpec, args) -> dict:
 
 def _report(
     command: str, echo: dict, rows: list, lines: list[str], table: list[list] | None = None,
-    trace: list[TraceStep] | None = None, summary=None, **extra,
+    trace: list[TraceStep] | None = None, summary=None, chunks=None, **extra,
 ) -> Report:
     """A command's report. `table` defaults to `rows` read as flat records that all share the
-    first one's keys. A traced report holds the steps in place of the rows, with `summary`, the
-    untraced records, under "summary" in json, and a blank line before the steps in text."""
+    first one's keys; with `chunks`, `rows` is empty and `table` is the csv header. A traced
+    report holds the steps in place of the rows, with `summary`, the untraced records, under
+    "summary" in json, and a blank line before the steps in text."""
     doc = {
         "command": command,
         "versions": {"tool": __version__, "format": FORMAT_VERSION},
@@ -148,10 +154,11 @@ def _report(
     }
     if trace is not None:
         doc["summary"] = summary
-        return Report(doc, [["step", "label", "bitstring", "re", "im"]], [*lines, ""], trace)
+        chunks = partial(_trace_chunks, trace) if trace else None
+        return Report(doc, [["step", "label", "bitstring", "re", "im"]], [*lines, ""], chunks)
     if table is None:
         table = [list(rows[0]), *(list(row.values()) for row in rows)]
-    return Report(doc, table, lines)
+    return Report(doc, table, lines, chunks)
 
 
 def _flatten(mapping: dict, pattern: str = "{}") -> Iterable[tuple[str, object]]:
@@ -190,9 +197,7 @@ def _nonzero(values: np.ndarray, n_qubits: int, bit_order: str) -> tuple[np.ndar
     """Bitstrings (an S<n_qubits> array) and values of the entries whose magnitude is above
     the cutoff, in index order."""
     keep = np.flatnonzero(np.abs(values) > AMPLITUDE_CUTOFF)
-    shifts = np.arange(n_qubits)[::-1 if bit_order == "msb" else 1]  # msb: qubit 0 leftmost
-    digits = ((keep[:, None] >> shifts) & 1).astype(np.uint8) + ord("0")
-    return digits.view(f"S{n_qubits}").ravel(), values[keep]
+    return bitstrings(keep, n_qubits, bit_order), values[keep]
 
 
 def _simulate(circuit, labels, args) -> tuple[StateVector, list[TraceStep] | None]:
@@ -248,6 +253,21 @@ def _trace_chunks(trace: list[TraceStep], fmt: str, precision: int) -> Iterator[
         tails = [tail(entry) for entry in values]
         bits = bits.astype(str).tolist()
         yield head + sep.join([prefix + b + tails[w] for b, w in zip(bits, which.tolist())]) + foot
+
+
+def _histogram_chunks(bits: np.ndarray, counts: np.ndarray, fmt: str, _precision) -> Iterator[str]:
+    """A histogram's rows in `fmt`, one string per block of rows (json: "rows" without its
+    brackets). Each row joins a prefix, its bitstring, a separator and its count."""
+    if fmt == "json":
+        prefix, mid = '\n    {\n      "bitstring": "', '",\n      "count": '
+        suffix, sep = "\n    }", ","
+    else:
+        prefix, mid, suffix, sep = "", "," if fmt == "csv" else "  ", "", "\n"
+    for start in range(0, len(bits), _HISTOGRAM_BLOCK):
+        block = slice(start, start + _HISTOGRAM_BLOCK)
+        rows = zip(bits[block].astype(str).tolist(), counts[block].tolist())
+        text = sep.join([prefix + b + mid + str(c) + suffix for b, c in rows])
+        yield (sep if start and fmt == "json" else "") + text
 
 
 def _resolve_seed(args) -> int:
@@ -354,15 +374,16 @@ def cmd_sample(args) -> Report:
     seed = _resolve_seed(args)
     check_shots_and_seed(args.shots, seed)
     histogram = measure_all(grover_data_state(spec), args.shots, seed)
-    records = [
-        {"bitstring": _oriented(bits, args.bit_order), "count": count}
-        for bits, count in histogram.counts.items()
-    ]
-    records.sort(key=lambda d: (-d["count"], d["bitstring"]))
+    bits = bitstrings(histogram.outcomes, spec.n_qubits, args.bit_order)
+    counts = histogram.tallies
+    if args.bit_order == "lsb":  # reversed bitstrings break the count ties in another order
+        order = np.lexsort((bits, -counts))
+        bits, counts = bits[order], counts[order]
     lines = [f"shots: {histogram.shots}", f"seed: {histogram.seed}"]
-    lines += [f"{d['bitstring']}  {d['count']}" for d in records]
-    echo = _spec_echo(spec, args)
-    return _report("sample", echo, records, lines, shots=histogram.shots, seed=histogram.seed)
+    return _report(
+        "sample", _spec_echo(spec, args), [], lines, [["bitstring", "count"]],
+        chunks=partial(_histogram_chunks, bits, counts), shots=histogram.shots, seed=histogram.seed,
+    )
 
 
 def cmd_dump(args) -> Report:
@@ -403,14 +424,15 @@ def cmd_load(args) -> Report:
 def _emit(report: Report, fmt: str, precision: int) -> None:
     """Print a command's report as json, csv or text: the one place --format is read.
 
-    A trace is written one step at a time, so only one step's lines are held at once.
+    Rendered rows are written one chunk at a time (a trace step, a block of histogram rows),
+    so only one chunk's lines are held at once.
     """
-    chunks = _trace_chunks(report.trace or [], fmt, precision)
+    chunks = report.chunks(fmt, precision) if report.chunks else ()
     if fmt == "json":
         text = json.dumps(report.doc, indent=2)
-        if report.trace:
-            head, _, tail = text.partition(_TRACE_ROWS)
-            sys.stdout.write(head + _TRACE_ROWS[:-1])
+        if report.chunks:
+            head, _, tail = text.partition(_ROWS)
+            sys.stdout.write(head + _ROWS[:-1])
             sys.stdout.writelines(chunks)
             text = "\n  ]" + tail
         print(text)

@@ -27,6 +27,8 @@ from grover_kit.statevector import SpecError, StateVector, bitstring_to_index, c
 
 ANCILLA_FACTOR_TOL = 1e-9
 MAX_REPORT_ITERATIONS = 64
+# plane_decompose takes its residual over blocks of this many amplitudes (128 KiB).
+RESIDUAL_BLOCK = 1 << 13
 
 
 class AncillaFactorizationError(RuntimeError):
@@ -154,13 +156,29 @@ def plane_decompose(
     root_m, root_u = math.sqrt(len(indices)), math.sqrt(len(state.amps) - len(indices))
     a_marked = s_m / root_m
     a_unmarked = (total - s_m) / root_u
-    remainder = state.amps - a_unmarked / root_u
-    remainder[indices] = state.amps[indices] - a_marked / root_m
     return PlaneCoords(
         a_marked=a_marked,
         a_unmarked=a_unmarked,
-        residual_norm=float(np.linalg.norm(remainder)),
+        residual_norm=_residual(state.amps, indices, a_marked / root_m, a_unmarked / root_u),
     )
+
+
+def _residual(
+    amps: np.ndarray, indices: list[int], on_marked: complex, on_unmarked: complex
+) -> float:
+    """The norm of `amps` minus its plane projection, which is `on_marked` at `indices` and
+    `on_unmarked` elsewhere. The differences are taken one block of RESIDUAL_BLOCK amplitudes
+    at a time in one buffer, so no state-sized temporary is built. Each block's squares are
+    summed as np.linalg.norm sums them, so a state of one block gets the same float."""
+    marked = np.sort(np.asarray(indices))
+    buf = np.empty(min(len(amps), RESIDUAL_BLOCK), dtype=np.complex128)
+    sqnorm = 0.0
+    for start in range(0, len(amps), len(buf)):
+        diff = np.subtract(amps[start:start + len(buf)], on_unmarked, out=buf)
+        lo, hi = np.searchsorted(marked, (start, start + len(buf)))
+        diff[marked[lo:hi] - start] = amps[marked[lo:hi]] - on_marked
+        sqnorm += diff.real.dot(diff.real) + diff.imag.dot(diff.imag)
+    return math.sqrt(sqnorm)
 
 
 def plane_angle(coords: PlaneCoords) -> float:

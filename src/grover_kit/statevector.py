@@ -69,6 +69,16 @@ def index_to_bitstring(index: int, n_qubits: int) -> str:
     return format(index, f"0{n_qubits}b")
 
 
+def bitstrings(indices: np.ndarray, n_qubits: int, bit_order: str = "msb") -> np.ndarray:
+    """The bitstrings of amplitude `indices` as an S<n_qubits> array: msb-first (qubit 0
+    leftmost), or reversed for ``bit_order="lsb"``. Unpacks the big-endian bytes of each
+    index, so it holds about 50 bytes per index and builds no Python string."""
+    bits = np.unpackbits(indices.astype(">u4").view(np.uint8).reshape(-1, 4), axis=1)
+    bits = bits[:, 32 - n_qubits:][:, :: 1 if bit_order == "msb" else -1]
+    digits = np.add(bits, ord("0"), dtype=np.uint8, order="C")
+    return digits.view(f"S{n_qubits}").ravel()
+
+
 class StateVector:
     """Immutable n-qubit state: 2**n_qubits complex amplitudes, unit norm."""
 

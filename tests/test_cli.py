@@ -5,6 +5,7 @@ import io
 import json
 import os
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from grover_kit import circuit, cli, geometry
 from grover_kit.cli import main
+from grover_kit.sampling import Histogram
 
 EXPECTED_TRACE_LABELS = [
     "1.0",
@@ -355,11 +357,12 @@ def test_load_trace_size_limit(capsys, monkeypatch, wires, code):
 @pytest.mark.parametrize("trace", [[], ["--trace"]])
 @pytest.mark.parametrize("ops, code", [(2, 0), (3, 2)])
 def test_load_work_limit(capsys, monkeypatch, trace, ops, code):
-    # With the limit patched to 8 = 2 ops x 2^2, a third op on 2 wires is refused before any run.
+    # With the limit patched to 2 ops x (2^2 + LOAD_OP_WORK), a third op on 2 wires is refused
+    # before any run.
     def no_simulation(*_):
         raise AssertionError("the work must be checked before the circuit runs")
 
-    monkeypatch.setattr(circuit, "MAX_LOAD_WORK", 8)
+    monkeypatch.setattr(circuit, "MAX_LOAD_WORK", 2 * (4 + circuit.LOAD_OP_WORK))
     if code:
         monkeypatch.setattr(cli, "run", no_simulation)
     monkeypatch.setattr("sys.stdin", io.StringIO("# qubits: 2\n" + "H 0\n" * ops))
@@ -370,8 +373,21 @@ def test_load_work_limit(capsys, monkeypatch, trace, ops, code):
         assert err.startswith("error: --file:")
 
 
+@pytest.mark.parametrize("ops, code", [(1000, 0), (1001, 2)])
+def test_narrow_long_file_pays_per_op(capsys, monkeypatch, ops, code):
+    # A limit of 1,000 ops' work at 2 wires. Counting 2^2 updates per op alone would admit
+    # 1000 x (4 + LOAD_OP_WORK) / 4, over 500,000 ops.
+    monkeypatch.setattr(circuit, "MAX_LOAD_WORK", 1000 * (4 + circuit.LOAD_OP_WORK))
+    monkeypatch.setattr("sys.stdin", io.StringIO("# qubits: 2\n" + "H 0\n" * ops))
+    got, out, err = run_cli(capsys, "load")
+    assert got == code
+    if code:
+        assert out == ""
+        assert err.startswith(f"error: --file: 1001 ops x (2^2 + {circuit.LOAD_OP_WORK}) amplitude")
+
+
 def test_load_work_is_bounded_while_parsing(capsys, monkeypatch):
-    # 4,097 ops at 20 wires already exceed MAX_LOAD_WORK. Parsing all 200,000 ops before the
+    # 4,089 ops at 20 wires already exceed MAX_LOAD_WORK. Parsing all 200,000 ops before the
     # check peaked at 32 MiB (tracemalloc); refusing as the ops accumulate peaked at 4.4 MiB.
     monkeypatch.setattr("sys.stdin", io.StringIO("# qubits: 20\n" + "H 0\n" * 200_000))
     tracemalloc.start()
@@ -533,6 +549,63 @@ def test_trace_memory_per_kept_amplitude():
         tracemalloc.stop()
     assert code == 0
     assert peak / (9 << 14) < 512
+
+
+# Reference sample renderer: one dict per outcome, sorted in Python and rendered through the
+# dict-row report. The columnar renderer in cli must match it byte for byte.
+def reference_sample_report(histogram, echo, bit_order):
+    records = [
+        {"bitstring": cli._oriented(bits, bit_order), "count": count}
+        for bits, count in histogram.counts.items()
+    ]
+    records.sort(key=lambda d: (-d["count"], d["bitstring"]))
+    lines = [f"shots: {histogram.shots}", f"seed: {histogram.seed}"]
+    lines += [f"{d['bitstring']}  {d['count']}" for d in records]
+    return cli._report(
+        "sample", echo, records, lines, shots=histogram.shots, seed=histogram.seed
+    )
+
+
+@st.composite
+def histograms(draw):
+    """A Histogram in measure_all's order, with many count ties."""
+    n = draw(st.integers(1, 6))
+    outcomes = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, unique=True))
+    counts = draw(st.lists(
+        st.one_of(st.integers(1, 3), st.integers(1, 1 << 20)),
+        min_size=len(outcomes), max_size=len(outcomes),
+    ))
+    pairs = sorted(zip(outcomes, counts), key=lambda pair: (-pair[1], pair[0]))
+    shots = sum(counts)
+    return Histogram(
+        shots, draw(st.integers(0, 2**64 - 1)), n,
+        np.array([i for i, _ in pairs], dtype=np.int64), np.array([c for _, c in pairs]),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    histograms(),
+    st.sampled_from(["msb", "lsb"]),
+    st.sampled_from(["text", "json", "csv"]),
+    st.sampled_from([1, 2, 3, 1 << 12]),
+)
+def test_sample_renderer_matches_reference(histogram, bit_order, fmt, block):
+    n = histogram.n_qubits
+    argv = ["sample", "--n", str(n), "--marked", "1" * n, "--iterations", "0",
+            "--shots", "1", "--seed", str(histogram.seed), "--bit-order", bit_order]
+    args = cli.build_parser().parse_args(argv)
+    out = io.StringIO()
+    with contextlib.ExitStack() as stack:
+        stack.enter_context(mock.patch.object(cli, "measure_all", lambda *_: histogram))
+        stack.enter_context(mock.patch.object(cli, "_HISTOGRAM_BLOCK", block))
+        stack.enter_context(contextlib.redirect_stdout(out))
+        cli._emit(cli.cmd_sample(args), fmt, 6)
+    echo = {"n": n, "marked": ["1" * n], "iterations": 0, "style": "mcz", "bit_order": bit_order}
+    want = io.StringIO()
+    with contextlib.redirect_stdout(want):
+        cli._emit(reference_sample_report(histogram, echo, bit_order), fmt, 6)
+    assert out.getvalue() == want.getvalue()
 
 
 def test_load_parse_error(capsys, tmp_path):

@@ -1,10 +1,13 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from grover_kit import geometry
 from grover_kit.circuit import GroverSpec, OracleStyle, build_grover_circuit, grover_iteration, run
 from grover_kit.geometry import (
     AncillaFactorizationError,
@@ -241,6 +244,45 @@ def test_oblique_coords_match_gram_solve_on_any_state(case):
     rest = state.amps - (c_p * uniform + c_r * beta)
     assert abs(np.vdot(uniform, rest)) <= 1e-14
     assert abs(np.vdot(beta, rest)) <= 1e-14
+
+
+def reference_residual(state, marked):
+    """The residual as one state-sized difference vector."""
+    coords = plane_decompose(state, marked)
+    indices = [int(bits, 2) for bits in marked]
+    root_m, root_u = math.sqrt(len(indices)), math.sqrt(len(state.amps) - len(indices))
+    remainder = state.amps - coords.a_unmarked / root_u
+    remainder[indices] = state.amps[indices] - coords.a_marked / root_m
+    return float(np.linalg.norm(remainder))
+
+
+@settings(max_examples=200, deadline=None)
+@given(states_and_marked(), st.integers(0, 8))
+def test_blocked_residual_matches_one_difference_vector(case, log_block):
+    # A state of one block gives the same float; more blocks change only how the squares
+    # are grouped, so the two agree to a few ulps of the squared norm.
+    state, marked = case
+    want = reference_residual(state, marked)
+    with mock.patch.object(geometry, "RESIDUAL_BLOCK", 1 << log_block):
+        got = plane_decompose(state, marked).residual_norm
+    if len(state.amps) <= 1 << log_block:
+        assert got == want
+    else:
+        assert abs(got**2 - want**2) <= 1e-15 * max(want**2, 1e-300) + 1e-30
+
+
+def test_plane_decompose_builds_no_state_sized_temporary():
+    # n=16 is a 1 MiB state; the residual's buffer is RESIDUAL_BLOCK amplitudes (128 KiB).
+    # The difference vector it replaced peaked at a whole state.
+    state = StateVector(16, np.full(1 << 16, 2.0**-8, dtype=np.complex128))
+    marked = ("0" * 16, "1" * 16)
+    tracemalloc.start()
+    try:
+        plane_decompose(state, marked)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < state.amps.nbytes // 4
 
 
 def test_strip_ancilla():

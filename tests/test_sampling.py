@@ -5,10 +5,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from grover_kit.circuit import GroverSpec, OracleStyle, build_grover_circuit, run
+from grover_kit.circuit import (
+    GroverSpec,
+    OracleStyle,
+    build_grover_circuit,
+    grover_data_state,
+    run,
+)
 from grover_kit.geometry import predicted_success, strip_ancilla
 from grover_kit.sampling import binomial_interval, measure_all
-from grover_kit.statevector import StateVector, ket
+from grover_kit.statevector import StateVector, index_to_bitstring, ket
 
 
 def final_state(n, marked, k, style=OracleStyle.MCZ_DIRECT):
@@ -139,3 +145,44 @@ def test_zero_probability_outcome_is_never_sampled(weights, deficit, draws):
     with mock.patch.object(np.random, "default_rng", lambda seed: fixed):
         hist = measure_all(state, len(fixed.draws), 0)
     assert all(state.probability(bits) > 0.0 for bits in hist.counts)
+
+
+def reference_counts(state, shots, seed):
+    """The bincount-and-sort measure_all: a 2^n tally, then a sort of (bitstring, count)
+    pairs by descending count, ties lexicographic."""
+    cdf = np.cumsum(state.probabilities())
+    cdf /= cdf[-1]
+    outcomes = np.searchsorted(cdf, np.random.default_rng(seed).random(shots), side="right")
+    n = state.n_qubits
+    tallies = np.bincount(outcomes, minlength=1 << n)
+    pairs = [(index_to_bitstring(int(i), n), int(tallies[i])) for i in np.flatnonzero(tallies)]
+    pairs.sort(key=lambda kv: (-kv[1], kv[0]))
+    return dict(pairs)
+
+
+@st.composite
+def sampled_states(draw):
+    """A Grover data state, or a random normalized state with some entries exactly 0."""
+    n = draw(st.integers(1, 10))
+    dim = 1 << n
+    if draw(st.booleans()):
+        indices = draw(st.lists(st.integers(0, dim - 1), min_size=1, max_size=min(8, dim - 1),
+                                unique=True))
+        marked = tuple(format(i, f"0{n}b") for i in indices)
+        k = draw(st.integers(0, 0 if n == 1 else 20))  # one qubit admits no iteration
+        return grover_data_state(GroverSpec(n, marked, k))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    amps = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    amps[rng.random(dim) < draw(st.sampled_from([0.0, 0.5, 0.9, 1.0]))] = 0.0
+    amps[rng.integers(dim)] = 1.0  # at least one outcome has probability
+    return StateVector(n, amps / np.linalg.norm(amps))
+
+
+@given(sampled_states(), st.integers(1, 4096), st.integers(0, 2**64 - 1))
+@settings(max_examples=300, deadline=None)
+def test_histogram_matches_the_bincount_reference(state, shots, seed):
+    hist = measure_all(state, shots, seed)
+    want = reference_counts(state, shots, seed)
+    assert list(hist.counts.items()) == list(want.items())
+    assert int(hist.tallies.sum()) == shots
+    assert np.all(state.probabilities()[hist.outcomes] > 0.0)
