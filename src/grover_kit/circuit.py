@@ -20,9 +20,10 @@ by one; it is the reference, and ``run --trace``, ``load`` and
 `dense_unitary` use it, because a trace reports the state after each
 gate-level step. `grover_data_state` computes the data register of a spec
 with no gates at all: the state keeps one value on the marked strings and
-one on the rest, so each iteration is a few scalar operations, and the
-state is written once at the end. Untraced ``run``, ``sample`` and
-``sweep`` use it. tests/test_differential.py holds the two paths, the
+one on the rest, so each iteration is a few scalar operations of
+`grover_recurrence`, and the state is written once at the end. Untraced
+``run`` and ``sample`` use it; ``sweep`` reads the recurrence itself and
+writes no state. tests/test_differential.py holds the two paths, the
 dense matrices, the closed form and exact rationals together within
 tolerances that grow with k.
 
@@ -44,8 +45,10 @@ from __future__ import annotations
 
 import enum
 import io
+import itertools
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -308,8 +311,8 @@ def run(circuit: Circuit, initial: StateVector | None = None) -> StateVector:
     return StateVector(circuit.n_qubits, amps, copy=False)
 
 
-def grover_data_state(spec: GroverSpec) -> StateVector:
-    """The data register after ``spec.iterations`` Grover iterations, without gates.
+def grover_recurrence(spec: GroverSpec) -> Iterator[tuple[float, float]]:
+    """(v, u) after k = 0, 1, 2, ... Grover iterations, without end.
 
     From the uniform start every Grover state has one amplitude on the m
     marked entries and one on the other N - m (Boyer, Brassard, Hoyer and
@@ -317,17 +320,27 @@ def grover_data_state(spec: GroverSpec) -> StateVector:
     at first. The oracle negates v; the gate diffuser -(2|s><s| - Id),
     global minus sign included, subtracts d = 2*(m*v + (N - m)*u)/N from
     both. N is a power of two, so v and u stay exact dyadic rationals while
-    they fit in 53 bits. The state is written once, u/sqrt(N) with
+    they fit in 53 bits.
+    """
+    dim, m = 1 << spec.n_qubits, spec.n_marked
+    v = u = 1.0
+    while True:
+        yield v, u
+        v = -v
+        d = 2.0 * (m * v + (dim - m) * u) / dim
+        v, u = v - d, u - d
+
+
+def grover_data_state(spec: GroverSpec) -> StateVector:
+    """The data register after ``spec.iterations`` Grover iterations, without gates.
+
+    The state is written once from `grover_recurrence`, u/sqrt(N) with
     v/sqrt(N) on the marked entries, and validated, never renormalized.
     Both styles give this data register: the ``mcx_ancilla`` gate state is
     it times (|0>-|1>)/sqrt(2).
     """
-    dim, m = 1 << spec.n_qubits, spec.n_marked
-    v = u = 1.0
-    for _ in range(spec.iterations):
-        v = -v
-        d = 2.0 * (m * v + (dim - m) * u) / dim
-        v, u = v - d, u - d
+    dim = 1 << spec.n_qubits
+    v, u = next(itertools.islice(grover_recurrence(spec), spec.iterations, None))
     root = math.sqrt(dim)
     amps = np.full(dim, u / root, dtype=np.complex128)
     amps[[int(bits, 2) for bits in spec.marked]] = v / root
@@ -380,6 +393,7 @@ def circuit_from_text(text: str) -> Circuit:
     one or max index + 1 so far, exceeds MAX_LOAD_WORK.
     """
     ops: list[Gate] = []
+    distinct: dict[Gate, Gate] = {}  # equal ops share one object, so a held op costs a pointer
     declared_width: int | None = None
     max_index = -1
     # The lines of text.splitlines(), without holding them all: \n ends each StringIO line.
@@ -412,7 +426,7 @@ def circuit_from_text(text: str) -> Circuit:
         except (ValueError, IndexError) as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
         max_index = max(max_index, *op.qubits)
-        ops.append(op)
+        ops.append(distinct.setdefault(op, op))
         width = max_index + 1 if declared_width is None else declared_width
         # Past 32 wires one op is over the bound; testing that first keeps 1 << width small.
         if width > 32 or len(ops) * ((1 << max(width, 0)) + LOAD_OP_WORK) > MAX_LOAD_WORK:

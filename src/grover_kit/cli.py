@@ -29,7 +29,7 @@ import os
 import sys
 from dataclasses import replace
 from functools import partial
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -79,36 +79,33 @@ _SPEC_FLAGS = {
 }
 # Leaf names of nested summary keys in run's CSV; other nested keys prefix their leaves.
 _CSV_NAMES = {"p_per_marked": "p({})", "plane": "{}", "oblique": "{}"}
-# A json doc whose rows are rendered as chunks holds "rows": [] in this spot, the one top-level
-# "rows" key: json.dumps escapes newlines in strings, so a newline and a 2-space indent only ever
-# start a top-level key.
-_ROWS = '\n  "rows": []'
-# Histogram rows per rendered chunk: bounds the strings held at 2^20 distinct outcomes.
-_HISTOGRAM_BLOCK = 1 << 12
+# Table rows per rendered chunk: bounds the strings held at 2^20 rows.
+_TABLE_BLOCK = 1 << 12
 
 
-class TraceStep(NamedTuple):
-    """One --trace step as columns over its amplitudes above the cutoff, in index order:
-    their bitstrings (an S<wires> array) and, for each, its position in `values`, the
-    step's distinct amplitudes rounded as {re, im} entries."""
+class Rows(NamedTuple):
+    """A per-outcome listing as columns: the bitstrings (an S<wires> array), each row's
+    position in `values`, and the listing's distinct values, each rounded once."""
 
-    label: str
-    ops: tuple[int, int]
     bits: np.ndarray
     which: np.ndarray
-    values: list[dict]
+    values: list
+
+
+class Listing(partial):
+    """Rows rendered from columns, one string per chunk: `listing(fmt, precision)` (json: the
+    items of a list without its brackets). It stands where its rows go: for a top-level list
+    in a report's json document, or among its csv rows or text lines."""
 
 
 class Report(NamedTuple):
     """One command's output, built once and printed by `_emit` in the chosen format: the
-    json document, the csv rows with the header first, and the text lines. `chunks(fmt,
-    precision)`, when set, renders rows from columns: they fill json "rows" and follow the
-    csv rows and text lines."""
+    json document, the csv rows with the header first, and the text lines. Each may hold
+    `Listing`s in place of its per-outcome rows."""
 
     doc: dict | None
-    table: list[list]
-    lines: list[str]
-    chunks: Callable[[str, int], Iterator[str]] | None = None
+    table: list
+    lines: list
 
 
 def _oriented(bits: str, bit_order: str) -> str:
@@ -138,27 +135,26 @@ def _spec_echo(spec: GroverSpec, args) -> dict:
 
 
 def _report(
-    command: str, echo: dict, rows: list, lines: list[str], table: list[list] | None = None,
-    trace: list[TraceStep] | None = None, summary=None, chunks=None, **extra,
+    command: str, echo: dict, rows: list | Listing, lines: list, table: list | None = None,
+    trace: list | None = None, summary=None, **extra,
 ) -> Report:
     """A command's report. `table` defaults to `rows` read as flat records that all share the
-    first one's keys; with `chunks`, `rows` is empty and `table` is the csv header. A traced
-    report holds the steps in place of the rows, with `summary`, the untraced records, under
-    "summary" in json, and a blank line before the steps in text."""
+    first one's keys. A traced report holds the steps in place of the rows, with `summary`,
+    the untraced rows, under "summary" in json, and a blank line before the steps in text."""
     doc = {
         "command": command,
         "versions": {"tool": __version__, "format": FORMAT_VERSION},
         "spec": echo,
-        "rows": rows if trace is None else [],
+        "rows": rows,
         **extra,
     }
     if trace is not None:
-        doc["summary"] = summary
-        chunks = partial(_trace_chunks, trace) if trace else None
-        return Report(doc, [["step", "label", "bitstring", "re", "im"]], [*lines, ""], chunks)
+        steps = Listing(_trace_chunks, trace)
+        doc.update(rows=steps if trace else [], summary=summary)
+        return Report(doc, [["step", "label", "bitstring", "re", "im"], steps], [*lines, "", steps])
     if table is None:
         table = [list(rows[0]), *(list(row.values()) for row in rows)]
-    return Report(doc, table, lines, chunks)
+    return Report(doc, table, lines)
 
 
 def _flatten(mapping: dict, pattern: str = "{}") -> Iterable[tuple[str, object]]:
@@ -180,28 +176,38 @@ def _complex_entry(z: complex, precision: int) -> dict:
 
 
 def _fmt(value: float | dict, precision: int) -> str:
-    """A rounded number, or a rounded {re, im} entry as ``re`` or ``re+imj``."""
+    """An int as it is, a rounded number, or a rounded {re, im} entry as ``re`` or ``re+imj``."""
     if not isinstance(value, dict):
-        return f"{value:.{precision}f}"
+        return str(value) if isinstance(value, int) else f"{value:.{precision}f}"
     if abs(value["im"]) <= AMPLITUDE_CUTOFF:
         return _fmt(value["re"], precision)
     return f"{_fmt(value['re'], precision)}{value['im']:+.{precision}f}j"
 
 
 def _line(key: str, value, precision: int) -> str:
-    """A ``key: value`` text line: an int or a string as it is, a rounded value by `_fmt`."""
-    return f"{key}: {value if isinstance(value, (int, str)) else _fmt(value, precision)}"
+    """A ``key: value`` text line: a string as it is, any other value by `_fmt`."""
+    return f"{key}: {value if isinstance(value, str) else _fmt(value, precision)}"
 
 
-def _nonzero(values: np.ndarray, n_qubits: int, bit_order: str) -> tuple[np.ndarray, np.ndarray]:
-    """Bitstrings (an S<n_qubits> array) and values of the entries whose magnitude is above
-    the cutoff, in index order."""
+def _rows(values: np.ndarray, n_qubits: int, bit_order: str, convert, indices=None) -> Rows:
+    """The rows of the entries of `values` above the cutoff, in index order, each named by its
+    index or by its entry in `indices`. `convert` rounds each distinct value once: equal floats
+    round alike, and a gate-built state holds a handful of them."""
     keep = np.flatnonzero(np.abs(values) > AMPLITUDE_CUTOFF)
-    return bitstrings(keep, n_qubits, bit_order), values[keep]
+    distinct, which = np.unique(values[keep], return_inverse=True)
+    bits = bitstrings(keep if indices is None else indices[keep], n_qubits, bit_order)
+    return Rows(bits, which, [convert(v) for v in distinct.tolist()])
 
 
-def _simulate(circuit, labels, args) -> tuple[StateVector, list[TraceStep] | None]:
-    """Run `circuit` on |0...0>; with --trace, one slice and one step per run of equal `labels()`."""
+def _join(bits: np.ndarray, which: np.ndarray, prefix: str, tails: list[str], sep: str) -> str:
+    """Lines that each join `prefix`, a bitstring and the tail of its value, `tails[which]`."""
+    rows = zip(bits.astype(str).tolist(), which.tolist())
+    return sep.join([prefix + b + tails[w] for b, w in rows])
+
+
+def _simulate(circuit, labels, args) -> tuple[StateVector, list | None]:
+    """Run `circuit` on |0...0>; with --trace, one slice and one step per run of equal
+    `labels()`: its label, its first and last op, and the `Rows` of its state."""
     if not args.trace:
         return run(circuit), None
     n = circuit.n_qubits
@@ -210,29 +216,21 @@ def _simulate(circuit, labels, args) -> tuple[StateVector, list[TraceStep] | Non
         raise SpecError(
             "trace", f"{len(steps)} steps x 2^{n} amplitudes exceed {MAX_TRACE_AMPLITUDES}"
         )
+    entry = partial(_complex_entry, precision=args.precision)
     state, trace, first = None, [], 0  # the first slice starts from |0...0>
     for label, size in steps:
         last = first + size - 1
         state = run(Circuit(n, circuit.ops[first:last + 1]), state)
-        trace.append(_trace_step(label, (first, last), state.amps, n, args))
+        trace.append((label, (first, last), _rows(state.amps, n, args.bit_order, entry)))
         first = last + 1
     return (state if steps else run(circuit)), trace
 
 
-def _trace_step(label, ops, amps: np.ndarray, n_qubits: int, args) -> TraceStep:
-    """The columns of one step's state, with each distinct amplitude rounded once: a
-    gate-built step holds a handful of them, and equal floats round alike."""
-    bits, kept = _nonzero(amps, n_qubits, args.bit_order)
-    distinct, which = np.unique(kept, return_inverse=True)
-    values = [_complex_entry(z, args.precision) for z in distinct.tolist()]
-    return TraceStep(label, ops, bits, which, values)
-
-
-def _trace_chunks(trace: list[TraceStep], fmt: str, precision: int) -> Iterator[str]:
+def _trace_chunks(trace: list, fmt: str, precision: int) -> Iterator[str]:
     """The trace in `fmt`, one string per step (json: "rows" without its brackets). Each
-    amplitude's line joins the step's prefix, its bitstring and the tail of its value,
-    which is formatted once per distinct value."""
-    for number, (label, (first, last), bits, which, values) in enumerate(trace):
+    amplitude's line is a `_join` of the step's prefix, its bitstring and the tail of its
+    value, which is formatted once per distinct value."""
+    for number, (label, (first, last), rows) in enumerate(trace):
         if fmt == "json":
             head = (
                 f'{"," if number else ""}\n    {{\n      "step": {number},\n'
@@ -250,24 +248,28 @@ def _trace_chunks(trace: list[TraceStep], fmt: str, precision: int) -> Iterator[
             span = f"op {first}" if first == last else f"ops {first}..{last}"
             head, prefix, sep, foot = f"step {number}  [{label}]  {span}\n", "  |", "\n", ""
             tail = lambda entry: ">  " + _fmt(entry, precision)  # noqa: E731
-        tails = [tail(entry) for entry in values]
-        bits = bits.astype(str).tolist()
-        yield head + sep.join([prefix + b + tails[w] for b, w in zip(bits, which.tolist())]) + foot
+        tails = [tail(entry) for entry in rows.values]
+        yield head + _join(rows.bits, rows.which, prefix, tails, sep) + foot
 
 
-def _histogram_chunks(bits: np.ndarray, counts: np.ndarray, fmt: str, _precision) -> Iterator[str]:
-    """A histogram's rows in `fmt`, one string per block of rows (json: "rows" without its
-    brackets). Each row joins a prefix, its bitstring, a separator and its count."""
+def _table_chunks(
+    rows: Rows, name: str, text: tuple[str, str], fmt: str, precision: int
+) -> Iterator[str]:
+    """A table in `fmt`, ranked by descending value, then by the bitstring as displayed, one
+    string per block of rows (json: the list without its brackets). Json keys each value by
+    `name`; a text line joins `text[0]`, the bitstring, `text[1]` and the value."""
     if fmt == "json":
-        prefix, mid = '\n    {\n      "bitstring": "', '",\n      "count": '
+        prefix, infix = '\n    {\n      "bitstring": "', f'",\n      "{name}": '
         suffix, sep = "\n    }", ","
     else:
-        prefix, mid, suffix, sep = "", "," if fmt == "csv" else "  ", "", "\n"
-    for start in range(0, len(bits), _HISTOGRAM_BLOCK):
-        block = slice(start, start + _HISTOGRAM_BLOCK)
-        rows = zip(bits[block].astype(str).tolist(), counts[block].tolist())
-        text = sep.join([prefix + b + mid + str(c) + suffix for b, c in rows])
-        yield (sep if start and fmt == "json" else "") + text
+        (prefix, infix), suffix, sep = text if fmt == "text" else ("", ","), "", "\n"
+    value = partial(_fmt, precision=precision) if fmt == "text" else str
+    tails = [infix + value(v) + suffix for v in rows.values]
+    order = np.lexsort((rows.bits, -np.asarray(rows.values)[rows.which]))
+    for start in range(0, len(order), _TABLE_BLOCK):
+        block = order[start:start + _TABLE_BLOCK]
+        lines = _join(rows.bits[block], rows.which[block], prefix, tails, sep)
+        yield (sep if start and fmt == "json" else "") + lines
 
 
 def _resolve_seed(args) -> int:
@@ -374,15 +376,12 @@ def cmd_sample(args) -> Report:
     seed = _resolve_seed(args)
     check_shots_and_seed(args.shots, seed)
     histogram = measure_all(grover_data_state(spec), args.shots, seed)
-    bits = bitstrings(histogram.outcomes, spec.n_qubits, args.bit_order)
-    counts = histogram.tallies
-    if args.bit_order == "lsb":  # reversed bitstrings break the count ties in another order
-        order = np.lexsort((bits, -counts))
-        bits, counts = bits[order], counts[order]
-    lines = [f"shots: {histogram.shots}", f"seed: {histogram.seed}"]
+    counts = _rows(histogram.tallies, spec.n_qubits, args.bit_order, int, histogram.outcomes)
+    table = Listing(_table_chunks, counts, "count", ("", "  "))
+    lines = [f"shots: {histogram.shots}", f"seed: {histogram.seed}", table]
     return _report(
-        "sample", _spec_echo(spec, args), [], lines, [["bitstring", "count"]],
-        chunks=partial(_histogram_chunks, bits, counts), shots=histogram.shots, seed=histogram.seed,
+        "sample", _spec_echo(spec, args), table, lines, [["bitstring", "count"], table],
+        shots=histogram.shots, seed=histogram.seed,
     )
 
 
@@ -410,40 +409,41 @@ def cmd_load(args) -> Report:
     except (OSError, ValueError, IndexError) as err:
         raise SpecError("file", str(err)) from None
     final, trace = _simulate(circuit, lambda: map(op_to_text, circuit.ops), args)
-    p = args.precision
-    bits, probs = _nonzero(final.probabilities(), circuit.n_qubits, args.bit_order)
-    pairs = zip(bits.astype(str).tolist(), probs.tolist())
-    records = [{"bitstring": b, "p": _r(value, p)} for b, value in pairs]
-    records.sort(key=lambda d: (-d["p"], d["bitstring"]))
-    lines = [f"source: {source}", f"n: {circuit.n_qubits}", f"ops: {len(circuit)}"]
-    lines += [_line(f"p({d['bitstring']})", d["p"], p) for d in records]
+    probs = _rows(final.probabilities(), circuit.n_qubits, args.bit_order,
+                  partial(_r, precision=args.precision))
+    table = Listing(_table_chunks, probs, "p", ("p(", "): "))
+    lines = [f"source: {source}", f"n: {circuit.n_qubits}", f"ops: {len(circuit)}", table]
     echo = {"source": source, "n": circuit.n_qubits, "bit_order": args.bit_order}
-    return _report("load", echo, records, lines, trace=trace, summary=records)
+    return _report("load", echo, table, lines, [["bitstring", "p"], table], trace, table)
 
 
 def _emit(report: Report, fmt: str, precision: int) -> None:
     """Print a command's report as json, csv or text: the one place --format is read.
 
-    Rendered rows are written one chunk at a time (a trace step, a block of histogram rows),
-    so only one chunk's lines are held at once.
+    A `Listing` is written one chunk at a time where it stands, so only one chunk's lines
+    are held at once. In json it is spliced into the frame that json.dumps renders with its
+    key's list empty: json.dumps escapes newlines in strings, so a newline and a 2-space
+    indent only ever start a top-level key.
     """
-    chunks = report.chunks(fmt, precision) if report.chunks else ()
     if fmt == "json":
-        text = json.dumps(report.doc, indent=2)
-        if report.chunks:
-            head, _, tail = text.partition(_ROWS)
-            sys.stdout.write(head + _ROWS[:-1])
-            sys.stdout.writelines(chunks)
-            text = "\n  ]" + tail
+        listed = {key: value for key, value in report.doc.items() if isinstance(value, Listing)}
+        text = json.dumps({**report.doc, **dict.fromkeys(listed, [])}, indent=2)
+        for key, listing in listed.items():
+            head, _, text = text.partition(f'\n  "{key}": []')
+            sys.stdout.write(f'{head}\n  "{key}": [')
+            sys.stdout.writelines(listing(fmt, precision))
+            text = "\n  ]" + text
         print(text)
-    elif fmt == "csv":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerows(report.table)
-        for chunk in chunks:
-            print(chunk)
-    else:
-        for line in itertools.chain(report.lines, chunks):
-            print(line)
+        return
+    writer = csv.writer(sys.stdout, lineterminator="\n")
+    for item in report.table if fmt == "csv" else report.lines:
+        if isinstance(item, Listing):
+            for chunk in item(fmt, precision):
+                print(chunk)
+        elif fmt == "csv":
+            writer.writerow(item)
+        else:
+            print(item)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -22,8 +22,14 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from grover_kit.circuit import GroverSpec, OracleStyle, grover_data_state
-from grover_kit.statevector import SpecError, StateVector, bitstring_to_index, check_iterations
+from grover_kit.circuit import GroverSpec, OracleStyle, grover_recurrence
+from grover_kit.statevector import (
+    NORM_TOL,
+    SpecError,
+    StateVector,
+    bitstring_to_index,
+    check_iterations,
+)
 
 ANCILLA_FACTOR_TOL = 1e-9
 MAX_REPORT_ITERATIONS = 64
@@ -169,16 +175,18 @@ def _residual(
     """The norm of `amps` minus its plane projection, which is `on_marked` at `indices` and
     `on_unmarked` elsewhere. The differences are taken one block of RESIDUAL_BLOCK amplitudes
     at a time in one buffer, so no state-sized temporary is built. Each block's squares are
-    summed as np.linalg.norm sums them, so a state of one block gets the same float."""
+    summed as np.linalg.norm sums them, so a state of one block gets the same float, and the
+    block sums are added exactly (math.fsum): a running float sum of them gained rounding with
+    each block, up to 1.5e-15 relative at 256 one-amplitude blocks."""
     marked = np.sort(np.asarray(indices))
     buf = np.empty(min(len(amps), RESIDUAL_BLOCK), dtype=np.complex128)
-    sqnorm = 0.0
+    sqnorms = []
     for start in range(0, len(amps), len(buf)):
         diff = np.subtract(amps[start:start + len(buf)], on_unmarked, out=buf)
         lo, hi = np.searchsorted(marked, (start, start + len(buf)))
         diff[marked[lo:hi] - start] = amps[marked[lo:hi]] - on_marked
-        sqnorm += diff.real.dot(diff.real) + diff.imag.dot(diff.imag)
-    return math.sqrt(sqnorm)
+        sqnorms.append(diff.real.dot(diff.real) + diff.imag.dot(diff.imag))
+    return math.sqrt(math.fsum(sqnorms))
 
 
 def plane_angle(coords: PlaneCoords) -> float:
@@ -246,25 +254,29 @@ def data_state(state: StateVector, spec: GroverSpec) -> StateVector:
 def iteration_report(spec: GroverSpec, k_max: int) -> list[IterationRow]:
     """Rows k = 0..k_max with simulated and closed-form marked probability.
 
-    Simulated values come from the two-value executor `grover_data_state`,
-    not from the gate circuit: each row is the state of the spec with
-    ``iterations=k``, built and validated on its own, so no row depends on
-    another. Both oracle styles give the same data register, so the style
-    does not change a row. The gate path stays the reference the tests
-    compare with.
+    Simulated values come from the two-value executor's `grover_recurrence`,
+    not from the gate circuit: row k reads its (v, u) and writes no state.
+    Each row's norm, sqrt((m*v^2 + (N - m)*u^2)/N), must be 1 within
+    NORM_TOL, as a validated state's is, so drift still raises. Both oracle
+    styles give the same data register, so the style does not change a row.
+    The gate path stays the reference the tests compare with.
     """
     if not 0 <= k_max <= MAX_REPORT_ITERATIONS:
         raise SpecError("k_max", f"k_max must be in 0..{MAX_REPORT_ITERATIONS}, got {k_max}")
+    replace(spec, iterations=k_max)  # n=1 refuses k_max >= 1: SpecError
     angles = grover_angles(spec.n_qubits, spec.n_marked)
+    dim, m = 1 << spec.n_qubits, spec.n_marked
+    root = math.sqrt(dim)
     rows: list[IterationRow] = []
-    for k in range(k_max + 1):
-        state = grover_data_state(replace(spec, iterations=k))  # n=1 refuses k=1: SpecError
-        p_sim = sum(state.probability(bits) for bits in spec.marked)
+    for k, (v, u) in zip(range(k_max + 1), grover_recurrence(spec)):
+        norm = math.sqrt((m * v * v + (dim - m) * u * u) / dim)
+        if not abs(norm - 1.0) <= NORM_TOL:
+            raise ValueError(f"row {k}: state norm {norm} deviates from 1 by more than {NORM_TOL}")
         rows.append(
             IterationRow(
                 k=k,
                 angle=(2 * k + 1) * angles.theta_sin,
-                p_marked_sim=float(p_sim),
+                p_marked_sim=sum([abs(v / root) ** 2] * m),  # as the state's entries sum
                 p_marked_formula=predicted_success(spec.n_qubits, spec.n_marked, k),
                 p_each_unmarked=p_each_unmarked(spec.n_qubits, spec.n_marked, k),
             )

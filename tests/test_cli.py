@@ -1,7 +1,9 @@
 import argparse
 import contextlib
 import csv
+import functools
 import io
+import itertools
 import json
 import os
 import tracemalloc
@@ -12,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import grover_kit
 from grover_kit import circuit, cli, geometry
 from grover_kit.cli import main
 from grover_kit.sampling import Histogram
@@ -522,8 +525,8 @@ def raw_traces(draw):
 )
 def test_trace_renderer_matches_reference(raw, precision, bit_order, fmt, source):
     n, raw_steps = raw
-    args = argparse.Namespace(bit_order=bit_order, precision=precision)
-    steps = [cli._trace_step(label, ops, amps, n, args) for label, ops, amps in raw_steps]
+    entry = functools.partial(cli._complex_entry, precision=precision)
+    steps = [(label, ops, cli._rows(amps, n, bit_order, entry)) for label, ops, amps in raw_steps]
     summary = [{"bitstring": "0" * n, "p": 1.0}]
     echo = {"source": source, "n": n, "bit_order": bit_order}
     report = cli._report("load", echo, summary, [f"source: {source}"])
@@ -598,7 +601,7 @@ def test_sample_renderer_matches_reference(histogram, bit_order, fmt, block):
     out = io.StringIO()
     with contextlib.ExitStack() as stack:
         stack.enter_context(mock.patch.object(cli, "measure_all", lambda *_: histogram))
-        stack.enter_context(mock.patch.object(cli, "_HISTOGRAM_BLOCK", block))
+        stack.enter_context(mock.patch.object(cli, "_TABLE_BLOCK", block))
         stack.enter_context(contextlib.redirect_stdout(out))
         cli._emit(cli.cmd_sample(args), fmt, 6)
     echo = {"n": n, "marked": ["1" * n], "iterations": 0, "style": "mcz", "bit_order": bit_order}
@@ -606,6 +609,94 @@ def test_sample_renderer_matches_reference(histogram, bit_order, fmt, block):
     with contextlib.redirect_stdout(want):
         cli._emit(reference_sample_report(histogram, echo, bit_order), fmt, 6)
     assert out.getvalue() == want.getvalue()
+
+
+# Reference load renderer: one dict per outcome, sorted in Python, formatted by `_line` and
+# rendered by json.dumps and csv.writer; a traced load adds the reference trace. The columnar
+# table in cli must match it byte for byte.
+def reference_load_output(text, fmt, precision, bit_order, trace):
+    parsed = circuit.circuit_from_text(text)
+    n, raw_steps, state, first = parsed.n_qubits, [], None, 0
+    for label, group in itertools.groupby(map(circuit.op_to_text, parsed.ops)):
+        last = first + len(list(group)) - 1
+        state = circuit.run(circuit.Circuit(n, parsed.ops[first:last + 1]), state)
+        raw_steps.append((label, (first, last), state.amps))
+        first = last + 1
+    probs = (state if raw_steps else circuit.run(parsed)).probabilities()
+    records = [
+        {"bitstring": cli._oriented(format(i, f"0{n}b"), bit_order), "p": cli._r(p, precision)}
+        for i, p in enumerate(probs.tolist()) if p > cli.AMPLITUDE_CUTOFF
+    ]
+    records.sort(key=lambda d: (-d["p"], d["bitstring"]))
+    lines = ["source: <stdin>", f"n: {n}", f"ops: {len(parsed)}"]
+    lines += [cli._line(f"p({d['bitstring']})", d["p"], precision) for d in records]
+    doc = {
+        "command": "load",
+        "versions": {"tool": grover_kit.__version__, "format": cli.FORMAT_VERSION},
+        "spec": {"source": "<stdin>", "n": n, "bit_order": bit_order},
+        "rows": records,
+    }
+    if trace:
+        rows = reference_trace_rows(raw_steps, n, bit_order, precision)
+        report = argparse.Namespace(doc=doc, lines=lines)
+        return reference_trace_output(report, rows, records, fmt, precision)
+    if fmt == "json":
+        return json.dumps(doc, indent=2) + "\n"
+    out = io.StringIO()
+    if fmt == "csv":
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerows([["bitstring", "p"], *([d["bitstring"], d["p"]] for d in records)])
+    else:
+        print("\n".join(lines), file=out)
+    return out.getvalue()
+
+
+@st.composite
+def load_texts(draw):
+    """Circuit text of up to 10 gates on 1-5 wires: their final states hold a few distinct
+    probabilities, powers of 1/2 that tie after rounding at a low precision."""
+    n = draw(st.integers(1, 5))
+    ops = []
+    for _ in range(draw(st.integers(0, 10))):
+        target = draw(st.integers(0, n - 1))
+        others = [q for q in range(n) if q != target]
+        controls = draw(st.lists(st.sampled_from(others), unique=True)) if others else []
+        kind = draw(st.sampled_from("XZ" if controls else "HXZ"))
+        ops.append(circuit.Gate(kind, target, controls))
+    return circuit.circuit_to_text(circuit.Circuit(n, ops))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    load_texts(),
+    st.integers(0, 17),
+    st.sampled_from(["msb", "lsb"]),
+    st.sampled_from(["text", "json", "csv"]),
+    st.booleans(),
+)
+def test_load_renderer_matches_reference(text, precision, bit_order, fmt, trace):
+    argv = ["load", "--format", fmt, "--precision", str(precision), "--bit-order", bit_order]
+    out = io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(text)), contextlib.redirect_stdout(out):
+        assert main(argv + ["--trace"] * trace) == 0
+    assert out.getvalue() == reference_load_output(text, fmt, precision, bit_order, trace)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_load_table_memory_per_outcome(monkeypatch, fmt):
+    # H on each of 16 wires: 2^16 outcomes of p = 2^-16. The columns and one rendered block
+    # take ~89 B per outcome; a dict per outcome took 520-1,023 B.
+    text = "# qubits: 16\n" + "".join(f"H {q}\n" for q in range(16))
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    tracemalloc.start()
+    try:
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            code = main(["load", "--format", fmt])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak / (1 << 16) < 128
 
 
 def test_load_parse_error(capsys, tmp_path):

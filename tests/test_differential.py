@@ -42,6 +42,7 @@ from grover_kit.circuit import (
 from grover_kit.geometry import (
     data_state,
     grover_angles,
+    iteration_report,
     oblique_coords,
     plane_angle,
     plane_decompose,
@@ -155,3 +156,14 @@ def test_oblique_coords_match_closed_form(spec):
     tol = exact_tol(k) / cos_theta
     assert abs(c_p - sign * math.cos((2 * k + 1) * theta) / cos_theta) <= tol
     assert abs(c_r - sign * math.sin(2 * k * theta) / cos_theta) <= tol
+
+
+@settings(max_examples=100, deadline=None)
+@given(specs(max_k=64))
+def test_sweep_rows_read_the_state_floats(spec):
+    """Each sweep row reads the recurrence, not a state, yet gives the float that summing the
+    materialized state's marked probabilities gives."""
+    rows = iteration_report(spec, spec.iterations)
+    for k, row in enumerate(rows):
+        state = grover_data_state(replace(spec, iterations=k))
+        assert row.p_marked_sim == sum(state.probability(bits) for bits in spec.marked)

@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grover_kit import geometry
-from grover_kit.circuit import GroverSpec, OracleStyle, build_grover_circuit, grover_iteration, run
+from grover_kit import cli, geometry
+from grover_kit.circuit import (
+    GroverSpec, OracleStyle, build_grover_circuit, grover_iteration, grover_recurrence, run,
+)
 from grover_kit.geometry import (
     AncillaFactorizationError,
     grover_angles,
@@ -348,6 +350,22 @@ def test_iteration_report_bounds():
         iteration_report(spec, 65)
     with pytest.raises(ValueError):
         iteration_report(spec, -1)
+
+
+def test_iteration_report_raises_on_drift(monkeypatch, capsys):
+    # A recurrence whose norm grows by 1e-6 per iteration: the sweep must refuse row 1, as
+    # validating a materialized state of that row would.
+    def drifting(spec):
+        for k, (v, u) in enumerate(grover_recurrence(spec)):
+            yield v * (1 + 1e-6 * k), u * (1 + 1e-6 * k)
+
+    monkeypatch.setattr(geometry, "grover_recurrence", drifting)
+    spec = GroverSpec(4, ("0101",), 0)
+    assert len(iteration_report(spec, 0)) == 1
+    with pytest.raises(ValueError, match="row 1: state norm"):
+        iteration_report(spec, 5)
+    assert cli.main(["sweep", "--n", "4", "--marked", "0101", "--kmax", "5"]) == 1
+    assert capsys.readouterr().err.startswith("internal error: ValueError: row 1: state norm")
 
 
 def test_class_amplitudes_stay_uniform():
