@@ -43,7 +43,6 @@ inferred as max index + 1.
 
 from __future__ import annotations
 
-import enum
 import io
 import itertools
 import math
@@ -52,14 +51,17 @@ from typing import Iterator
 
 import numpy as np
 
-from grover_kit.statevector import (
+from grover_kit.spec import (  # noqa: F401  also importable from here
     MAX_ITERATIONS,
+    GroverSpec,
+    OracleStyle,
     SpecError,
+    check_n_qubits,
+)
+from grover_kit.statevector import (
     StateVector,
     _apply_multicontrolled_inplace,
     _apply_single_inplace,
-    check_iterations,
-    check_n_qubits,
 )
 
 MAX_DENSE_QUBITS = 10
@@ -124,55 +126,6 @@ class Circuit:
 
     def __len__(self) -> int:
         return len(self.ops)
-
-
-class OracleStyle(enum.Enum):
-    MCZ_DIRECT = "mcz"
-    MCX_ANCILLA = "mcx_ancilla"
-
-
-@dataclass(frozen=True)
-class GroverSpec:
-    """Problem statement: search width, marked bitstrings, iteration count, style.
-
-    `marked` is normalized to a tuple sorted by index. With `mcx_ancilla` the
-    compiled circuits have n_qubits + 1 wires and the ancilla is the last one.
-    """
-
-    n_qubits: int
-    marked: tuple[str, ...]
-    iterations: int
-    style: OracleStyle = OracleStyle.MCZ_DIRECT
-
-    def __post_init__(self):
-        if not isinstance(self.style, OracleStyle):
-            raise SpecError("style", f"style must be an OracleStyle, got {self.style!r}")
-        check_n_qubits(self.n_qubits, ancillas=int(self.style is OracleStyle.MCX_ANCILLA))
-        marked = tuple(self.marked) if not isinstance(self.marked, str) else (self.marked,)
-        for bits in marked:
-            if len(bits) != self.n_qubits or any(ch not in "01" for ch in bits):
-                raise SpecError(
-                    "marked", f"marked string {bits!r} is not a bitstring of length {self.n_qubits}"
-                )
-        if len(set(marked)) != len(marked):
-            raise SpecError("marked", f"duplicate marked strings in {marked}")
-        if not 1 <= len(marked) < (1 << self.n_qubits):
-            count = f"got {len(marked)} for n={self.n_qubits}"
-            raise SpecError("marked", f"need between 1 and 2^n - 1 marked strings, {count}")
-        object.__setattr__(self, "marked", tuple(sorted(marked, key=lambda b: int(b, 2))))
-        check_iterations(self.iterations)
-        if self.iterations >= 1 and self.n_qubits < 2:
-            raise SpecError("n_qubits", "amplification needs at least 2 data qubits")
-
-    @property
-    def n_marked(self) -> int:
-        return len(self.marked)
-
-    @property
-    def circuit_qubits(self) -> int:
-        """Wire count of compiled circuits: n_qubits, plus 1 for the ancilla style."""
-        extra = 1 if self.style is OracleStyle.MCX_ANCILLA else 0
-        return self.n_qubits + extra
 
 
 Labelled = tuple[tuple[str, Gate], ...]

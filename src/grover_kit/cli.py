@@ -28,39 +28,25 @@ import json
 import os
 import sys
 from dataclasses import replace
-from functools import partial
-from typing import Iterable, Iterator, NamedTuple
-
-import numpy as np
+from functools import cache, partial
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
 from grover_kit import __version__
-from grover_kit.circuit import (
-    Circuit,
+from grover_kit.spec import (
     GroverSpec,
     OracleStyle,
     SpecError,
-    build_grover_circuit,
-    circuit_from_text,
-    circuit_to_text,
-    grover_data_state,
-    grover_step_labels,
-    op_to_text,
-    run,
-)
-from grover_kit.geometry import (
-    data_state,
+    check_n_qubits,
     grover_angles,
-    iteration_report,
-    oblique_coords,
     optimal_iterations,
     p_each_unmarked,
-    plane_angle,
-    plane_decompose,
-    plane_sums,
     predicted_success,
 )
-from grover_kit.sampling import check_shots_and_seed, measure_all
-from grover_kit.statevector import StateVector, bitstrings, check_n_qubits
+
+if TYPE_CHECKING:  # numpy and the simulation modules load inside the commands that use them
+    import numpy as np
+
+    from grover_kit.statevector import StateVector
 
 FORMAT_VERSION = "1"
 SEED_ENV_VAR = "GROVER_KIT_SEED"
@@ -193,6 +179,10 @@ def _rows(values: np.ndarray, n_qubits: int, bit_order: str, convert, indices=No
     """The rows of the entries of `values` above the cutoff, in index order, each named by its
     index or by its entry in `indices`. `convert` rounds each distinct value once: equal floats
     round alike, and a gate-built state holds a handful of them."""
+    import numpy as np
+
+    from grover_kit.statevector import bitstrings
+
     keep = np.flatnonzero(np.abs(values) > AMPLITUDE_CUTOFF)
     distinct, which = np.unique(values[keep], return_inverse=True)
     bits = bitstrings(keep if indices is None else indices[keep], n_qubits, bit_order)
@@ -208,6 +198,8 @@ def _join(bits: np.ndarray, which: np.ndarray, prefix: str, tails: list[str], se
 def _simulate(circuit, labels, args) -> tuple[StateVector, list | None]:
     """Run `circuit` on |0...0>; with --trace, one slice and one step per run of equal
     `labels()`: its label, its first and last op, and the `Rows` of its state."""
+    from grover_kit.circuit import Circuit, run
+
     if not args.trace:
         return run(circuit), None
     n = circuit.n_qubits
@@ -258,6 +250,8 @@ def _table_chunks(
     """A table in `fmt`, ranked by descending value, then by the bitstring as displayed, one
     string per block of rows (json: the list without its brackets). Json keys each value by
     `name`; a text line joins `text[0]`, the bitstring, `text[1]` and the value."""
+    import numpy as np
+
     if fmt == "json":
         prefix, infix = '\n    {\n      "bitstring": "', f'",\n      "{name}": '
         suffix, sep = "\n    }", ","
@@ -284,6 +278,11 @@ def _resolve_seed(args) -> int:
 
 
 def cmd_run(args) -> Report:
+    from grover_kit.circuit import build_grover_circuit, grover_data_state, grover_step_labels
+    from grover_kit.geometry import (
+        data_state, oblique_coords, plane_angle, plane_decompose, plane_sums,
+    )
+
     spec = _validate_spec_args(args)
     if args.trace:  # the trace shows gate-level steps, so only it runs the gates
         circuit = build_grover_circuit(spec)
@@ -332,6 +331,8 @@ def cmd_run(args) -> Report:
 
 
 def cmd_sweep(args) -> Report:
+    from grover_kit.geometry import iteration_report
+
     spec = _validate_spec_args(args)
     rows = iteration_report(spec, args.kmax)
     p = args.precision
@@ -372,6 +373,9 @@ def cmd_predict(args) -> Report:
 
 
 def cmd_sample(args) -> Report:
+    from grover_kit.circuit import grover_data_state
+    from grover_kit.sampling import check_shots_and_seed, measure_all
+
     spec = _validate_spec_args(args)
     seed = _resolve_seed(args)
     check_shots_and_seed(args.shots, seed)
@@ -386,6 +390,8 @@ def cmd_sample(args) -> Report:
 
 
 def cmd_dump(args) -> Report:
+    from grover_kit.circuit import build_grover_circuit, circuit_to_text
+
     spec = _validate_spec_args(args)
     text = circuit_to_text(build_grover_circuit(spec))
     if args.out is None or args.out == "-":
@@ -399,6 +405,8 @@ def cmd_dump(args) -> Report:
 
 
 def cmd_load(args) -> Report:
+    from grover_kit.circuit import circuit_from_text, op_to_text
+
     try:  # a read, decode, parse, width or work error; UnicodeDecodeError is a ValueError
         if args.file is None or args.file == "-":
             text, source = sys.stdin.read(), "<stdin>"
@@ -446,7 +454,10 @@ def _emit(report: Report, fmt: str, precision: int) -> None:
             print(item)
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process. Each `parse_args` call fills a new
+    Namespace, so no value carries from one call to the next."""
     # One parent parser per shared flag group; each subcommand lists the groups it takes.
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument("--format", choices=("text", "json", "csv"), default="text")

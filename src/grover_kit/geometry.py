@@ -4,14 +4,8 @@ Every state reachable from the uniform superposition by oracle and diffuser
 stays inside the plane spanned by |beta> (uniform over marked strings) and
 |alpha> (uniform over unmarked strings). This module decomposes simulated
 states into that plane, from two sums (over the m marked amplitudes and over
-all N) and with no basis vector built, computes the rotation angles, predicts
-success probabilities in closed form, and builds per-iteration sweep reports
-that put simulation and formula side by side.
-
-Closed form: with theta_sin = arcsin(sqrt(m/2^n)), the probability of
-landing in the marked set after k iterations is sin^2((2k+1)*theta_sin).
-The complementary convention theta_cos = arccos(sqrt(m/2^n)) is carried
-alongside because sweep tables are often written in terms of it.
+all N) and with no basis vector built, and builds per-iteration sweep reports
+that put simulation and the closed form of `grover_kit.spec` side by side.
 """
 
 from __future__ import annotations
@@ -22,14 +16,18 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from grover_kit.circuit import GroverSpec, OracleStyle, grover_recurrence
-from grover_kit.statevector import (
-    NORM_TOL,
+from grover_kit.circuit import grover_recurrence
+from grover_kit.spec import (  # noqa: F401  the closed form is also importable from here
+    GroverAngles,
+    GroverSpec,
+    OracleStyle,
     SpecError,
-    StateVector,
-    bitstring_to_index,
-    check_iterations,
+    grover_angles,
+    optimal_iterations,
+    p_each_unmarked,
+    predicted_success,
 )
+from grover_kit.statevector import NORM_TOL, StateVector, bitstring_to_index
 
 ANCILLA_FACTOR_TOL = 1e-9
 MAX_REPORT_ITERATIONS = 64
@@ -43,20 +41,6 @@ class AncillaFactorizationError(RuntimeError):
     Raised by strip_ancilla; reaching it indicates a compiler or simulator
     bug, not bad user input, hence a RuntimeError.
     """
-
-
-@dataclass(frozen=True)
-class GroverAngles:
-    """Both angle conventions for an (n, m) search instance.
-
-    theta_sin satisfies sin(theta_sin) = sqrt(m/2^n); theta_cos is the
-    complement with cos(theta_cos) = sqrt(m/2^n). They sum to pi/2.
-    """
-
-    theta_sin: float
-    theta_cos: float
-    m: int
-    n: int
 
 
 @dataclass(frozen=True)
@@ -77,41 +61,6 @@ class IterationRow:
     p_marked_sim: float
     p_marked_formula: float
     p_each_unmarked: float
-
-
-def grover_angles(n_qubits: int, m: int) -> GroverAngles:
-    """Rotation angles for m marked strings out of 2^n_qubits."""
-    if not 1 <= m < (1 << n_qubits):
-        raise SpecError("m", f"marked count must be in 1..2^{n_qubits} - 1, got {m}")
-    ratio = math.sqrt(m / (1 << n_qubits))
-    return GroverAngles(
-        theta_sin=math.asin(ratio), theta_cos=math.acos(ratio), m=m, n=n_qubits
-    )
-
-
-def predicted_success(n_qubits: int, m: int, iterations: int) -> float:
-    """Closed-form probability of the marked set after `iterations` steps (0..MAX_ITERATIONS)."""
-    check_iterations(iterations)
-    theta = grover_angles(n_qubits, m).theta_sin
-    return math.sin((2 * iterations + 1) * theta) ** 2
-
-
-def p_each_unmarked(n_qubits: int, m: int, iterations: int) -> float:
-    """Closed-form probability of each individual unmarked string."""
-    return (1.0 - predicted_success(n_qubits, m, iterations)) / ((1 << n_qubits) - m)
-
-
-def optimal_iterations(n_qubits: int, m: int) -> int:
-    """Iteration count maximizing predicted_success.
-
-    Evaluates round(pi/(4*theta) - 1/2) and both neighbors rather than
-    trusting the rounding alone, which misses by one for very small n.
-    Smallest k wins ties.
-    """
-    theta = grover_angles(n_qubits, m).theta_sin
-    center = round(math.pi / (4.0 * theta) - 0.5)
-    candidates = sorted({max(0, center - 1), max(0, center), max(0, center + 1)})
-    return max(candidates, key=lambda k: (predicted_success(n_qubits, m, k), -k))
 
 
 def _marked_indices(n_qubits: int, marked: Sequence[str]) -> list[int]:
@@ -272,13 +221,15 @@ def iteration_report(spec: GroverSpec, k_max: int) -> list[IterationRow]:
         norm = math.sqrt((m * v * v + (dim - m) * u * u) / dim)
         if not abs(norm - 1.0) <= NORM_TOL:
             raise ValueError(f"row {k}: state norm {norm} deviates from 1 by more than {NORM_TOL}")
+        angle = (2 * k + 1) * angles.theta_sin
+        p = math.sin(angle) ** 2  # predicted_success and p_each_unmarked, from one angle
         rows.append(
             IterationRow(
                 k=k,
-                angle=(2 * k + 1) * angles.theta_sin,
+                angle=angle,
                 p_marked_sim=sum([abs(v / root) ** 2] * m),  # as the state's entries sum
-                p_marked_formula=predicted_success(spec.n_qubits, spec.n_marked, k),
-                p_each_unmarked=p_each_unmarked(spec.n_qubits, spec.n_marked, k),
+                p_marked_formula=p,
+                p_each_unmarked=(1.0 - p) / (dim - m),
             )
         )
     return rows

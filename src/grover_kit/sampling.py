@@ -7,7 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from grover_kit.statevector import SpecError, StateVector, bitstrings
+from grover_kit.spec import SpecError
+from grover_kit.statevector import StateVector, bitstrings
 
 MAX_SEED = (1 << 64) - 1
 # measure_all holds one float per amplitude and about 40 bytes per shot (the draws, their

@@ -19,40 +19,17 @@ from __future__ import annotations
 
 import numpy as np
 
-MAX_QUBITS = 26
-# Covers the optimal k of every allowed width: optimal_iterations(26, 1) is 6433.
-MAX_ITERATIONS = 8192
+from grover_kit.spec import (  # noqa: F401  also importable from here
+    MAX_ITERATIONS,
+    MAX_QUBITS,
+    SpecError,
+    check_iterations,
+    check_n_qubits,
+)
+
 NORM_TOL = 1e-9
 
 _SQRT2_INV = 1.0 / np.sqrt(2.0)
-
-
-class SpecError(ValueError):
-    """An argument fails validation; `field` names it: a GroverSpec field, a parameter, or
-    one of the CLI-only values ``trace``, ``file``, ``out`` and ``precision``. The CLI maps
-    each field to the flag that supplied it and exits 2."""
-
-    def __init__(self, field: str, message: str):
-        super().__init__(message)
-        self.field = field
-
-
-def check_n_qubits(n_qubits, ancillas: int = 0) -> None:
-    """Raise SpecError("n_qubits") unless `n_qubits` is an integer (not a bool) in
-    1..MAX_QUBITS that leaves room for `ancillas` more wires."""
-    is_int = isinstance(n_qubits, (int, np.integer)) and not isinstance(n_qubits, bool)
-    if not (is_int and 1 <= n_qubits <= MAX_QUBITS - ancillas):
-        limit = f"1..{MAX_QUBITS - ancillas}" + (f" (plus {ancillas} ancilla)" if ancillas else "")
-        raise SpecError("n_qubits", f"n_qubits must be an integer in {limit}, got {n_qubits!r}")
-
-
-def check_iterations(k) -> None:
-    """Raise SpecError("iterations") unless `k` is an integer (not a bool) in 0..MAX_ITERATIONS."""
-    is_int = isinstance(k, (int, np.integer)) and not isinstance(k, bool)
-    if not (is_int and 0 <= k <= MAX_ITERATIONS):
-        raise SpecError(
-            "iterations", f"iterations must be an integer in 0..{MAX_ITERATIONS}, got {k!r}"
-        )
 
 
 def bitstring_to_index(bits: str) -> int:

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import grover_kit
-from grover_kit import circuit, cli, geometry
+from grover_kit import circuit, cli, geometry, sampling
 from grover_kit.cli import main
 from grover_kit.sampling import Histogram
 
@@ -256,9 +256,10 @@ def test_sample_rejects_zero_shots(capsys):
 
 def test_sample_rejects_too_many_shots(capsys, monkeypatch):
     def no_simulation(*_):
-        raise AssertionError("shots must be checked before the circuit runs")
+        raise AssertionError("shots must be checked before the state is built or measured")
 
-    monkeypatch.setattr(cli, "run", no_simulation)
+    monkeypatch.setattr(circuit, "grover_data_state", no_simulation)
+    monkeypatch.setattr(sampling, "measure_all", no_simulation)
     code, out, err = run_cli(
         capsys, "sample", "--n", "2", "--marked", "01", "--shots", str((1 << 20) + 1)
     )
@@ -367,7 +368,7 @@ def test_load_work_limit(capsys, monkeypatch, trace, ops, code):
 
     monkeypatch.setattr(circuit, "MAX_LOAD_WORK", 2 * (4 + circuit.LOAD_OP_WORK))
     if code:
-        monkeypatch.setattr(cli, "run", no_simulation)
+        monkeypatch.setattr(circuit, "run", no_simulation)
     monkeypatch.setattr("sys.stdin", io.StringIO("# qubits: 2\n" + "H 0\n" * ops))
     got, out, err = run_cli(capsys, "load", *trace)
     assert got == code
@@ -409,7 +410,7 @@ def test_run_trace_size_limit(capsys, monkeypatch):
     def no_simulation(*_):
         raise AssertionError("the trace size must be checked before the circuit runs")
 
-    monkeypatch.setattr(cli, "run", no_simulation)
+    monkeypatch.setattr(circuit, "run", no_simulation)
     code, out, err = run_cli(
         capsys, "run", "--n", "17", "--marked", "0" * 17, "--iterations", "1", "--trace"
     )
@@ -438,7 +439,6 @@ def test_run_takes_the_plane_sums_once(capsys, monkeypatch):
         calls.append(args)
         return plane_sums(*args)
 
-    monkeypatch.setattr(cli, "plane_sums", counting)
     monkeypatch.setattr(geometry, "plane_sums", counting)
     code, _, _ = run_cli(capsys, "run", "--n", "4", "--marked", "0010", "--iterations", "1")
     assert code == 0
@@ -600,7 +600,7 @@ def test_sample_renderer_matches_reference(histogram, bit_order, fmt, block):
     args = cli.build_parser().parse_args(argv)
     out = io.StringIO()
     with contextlib.ExitStack() as stack:
-        stack.enter_context(mock.patch.object(cli, "measure_all", lambda *_: histogram))
+        stack.enter_context(mock.patch.object(sampling, "measure_all", lambda *_: histogram))
         stack.enter_context(mock.patch.object(cli, "_TABLE_BLOCK", block))
         stack.enter_context(contextlib.redirect_stdout(out))
         cli._emit(cli.cmd_sample(args), fmt, 6)
