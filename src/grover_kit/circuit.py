@@ -21,11 +21,12 @@ by one; it is the reference, and ``run --trace``, ``load`` and
 gate-level step. `grover_data_state` computes the data register of a spec
 with no gates at all: the state keeps one value on the marked strings and
 one on the rest, so each iteration is a few scalar operations of
-`grover_recurrence`, and the state is written once at the end. Untraced
-``run`` and ``sample`` use it; ``sweep`` reads the recurrence itself and
-writes no state. tests/test_differential.py holds the two paths, the
-dense matrices, the closed form and exact rationals together within
-tolerances that grow with k.
+`grover_recurrence`, and the state is written once at the end. The
+commands write no state from it: untraced ``run`` reads its plane
+summary and ``sample`` its distribution from `grover_pair`, and ``sweep``
+reads the recurrence row by row. tests/test_differential.py holds the two
+paths, the dense matrices, the closed form and exact rationals together
+within tolerances that grow with k.
 
 Text format (one op per line, ``#`` starts a comment)::
 
@@ -59,6 +60,7 @@ from grover_kit.spec import (  # noqa: F401  also importable from here
     check_n_qubits,
 )
 from grover_kit.statevector import (
+    NORM_TOL,
     StateVector,
     _apply_multicontrolled_inplace,
     _apply_single_inplace,
@@ -284,16 +286,34 @@ def grover_recurrence(spec: GroverSpec) -> Iterator[tuple[float, float]]:
         v, u = v - d, u - d
 
 
+def check_pair(spec: GroverSpec, k: int, v: float, u: float) -> None:
+    """Raise ValueError unless the recurrence's (v, u) after k iterations describe a unit
+    state: sqrt((m*v^2 + (N - m)*u^2)/N) must be 1 within NORM_TOL, as a validated state's
+    norm must. So a drifting recurrence raises wherever the pair is read, never renormalized."""
+    dim, m = 1 << spec.n_qubits, spec.n_marked
+    norm = math.sqrt((m * v * v + (dim - m) * u * u) / dim)
+    if not abs(norm - 1.0) <= NORM_TOL:
+        raise ValueError(f"row {k}: state norm {norm} deviates from 1 by more than {NORM_TOL}")
+
+
+def grover_pair(spec: GroverSpec) -> tuple[float, float]:
+    """(v, u) of `grover_recurrence` after ``spec.iterations`` iterations, checked by
+    `check_pair`. The data register is u/sqrt(N) with v/sqrt(N) on the marked entries."""
+    v, u = next(itertools.islice(grover_recurrence(spec), spec.iterations, None))
+    check_pair(spec, spec.iterations, v, u)
+    return v, u
+
+
 def grover_data_state(spec: GroverSpec) -> StateVector:
     """The data register after ``spec.iterations`` Grover iterations, without gates.
 
-    The state is written once from `grover_recurrence`, u/sqrt(N) with
-    v/sqrt(N) on the marked entries, and validated, never renormalized.
-    Both styles give this data register: the ``mcx_ancilla`` gate state is
-    it times (|0>-|1>)/sqrt(2).
+    The state is written once from `grover_pair`, u/sqrt(N) with v/sqrt(N)
+    on the marked entries, and validated, never renormalized. Both styles
+    give this data register: the ``mcx_ancilla`` gate state is it times
+    (|0>-|1>)/sqrt(2).
     """
     dim = 1 << spec.n_qubits
-    v, u = next(itertools.islice(grover_recurrence(spec), spec.iterations, None))
+    v, u = grover_pair(spec)
     root = math.sqrt(dim)
     amps = np.full(dim, u / root, dtype=np.complex128)
     amps[[int(bits, 2) for bits in spec.marked]] = v / root

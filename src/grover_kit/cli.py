@@ -36,7 +36,9 @@ from grover_kit.spec import (
     GroverSpec,
     OracleStyle,
     SpecError,
+    check_k_max,
     check_n_qubits,
+    check_shots_and_seed,
     grover_angles,
     optimal_iterations,
     p_each_unmarked,
@@ -278,28 +280,22 @@ def _resolve_seed(args) -> int:
 
 
 def cmd_run(args) -> Report:
-    from grover_kit.circuit import build_grover_circuit, grover_data_state, grover_step_labels
-    from grover_kit.geometry import (
-        data_state, oblique_coords, plane_angle, plane_decompose, plane_sums,
-    )
-
     spec = _validate_spec_args(args)
-    if args.trace:  # the trace shows gate-level steps, so only it runs the gates
+    from grover_kit.circuit import build_grover_circuit, grover_step_labels
+    from grover_kit.geometry import data_state, grover_summary, plane_angle, state_summary
+
+    if args.trace:  # the trace shows gate-level steps, so only it runs the gates and holds a state
         circuit = build_grover_circuit(spec)
         final, trace = _simulate(circuit, lambda: grover_step_labels(spec), args)
-        data = data_state(final, spec)
+        plane = state_summary(data_state(final, spec), spec.marked)
     else:
-        data, trace = grover_data_state(spec), None
+        plane, trace = grover_summary(spec), None
+    probs, coords, (c_p, c_r) = plane
     p = args.precision
-    sums = plane_sums(data, spec.marked)
-    coords = plane_decompose(data, spec.marked, sums=sums)
-    c_p, c_r = oblique_coords(data, spec.marked, sums=sums)
     angles = grover_angles(spec.n_qubits, spec.n_marked)
-    per_marked = {
-        _oriented(b, args.bit_order): _r(data.probability(b), p) for b in spec.marked
-    }
+    per_marked = {_oriented(b, args.bit_order): _r(q, p) for b, q in zip(spec.marked, probs)}
     summary = {
-        "p_marked_total": _r(sum(data.probability(b) for b in spec.marked), p),
+        "p_marked_total": _r(sum(probs), p),
         "p_marked_formula": _r(
             predicted_success(spec.n_qubits, spec.n_marked, spec.iterations), p
         ),
@@ -331,9 +327,10 @@ def cmd_run(args) -> Report:
 
 
 def cmd_sweep(args) -> Report:
+    spec = _validate_spec_args(args)
+    check_k_max(spec, args.kmax)
     from grover_kit.geometry import iteration_report
 
-    spec = _validate_spec_args(args)
     rows = iteration_report(spec, args.kmax)
     p = args.precision
     records = [
@@ -373,13 +370,12 @@ def cmd_predict(args) -> Report:
 
 
 def cmd_sample(args) -> Report:
-    from grover_kit.circuit import grover_data_state
-    from grover_kit.sampling import check_shots_and_seed, measure_all
-
     spec = _validate_spec_args(args)
     seed = _resolve_seed(args)
     check_shots_and_seed(args.shots, seed)
-    histogram = measure_all(grover_data_state(spec), args.shots, seed)
+    from grover_kit.sampling import sample_grover
+
+    histogram = sample_grover(spec, args.shots, seed)
     counts = _rows(histogram.tallies, spec.n_qubits, args.bit_order, int, histogram.outcomes)
     table = Listing(_table_chunks, counts, "count", ("", "  "))
     lines = [f"shots: {histogram.shots}", f"seed: {histogram.seed}", table]
@@ -390,9 +386,9 @@ def cmd_sample(args) -> Report:
 
 
 def cmd_dump(args) -> Report:
+    spec = _validate_spec_args(args)
     from grover_kit.circuit import build_grover_circuit, circuit_to_text
 
-    spec = _validate_spec_args(args)
     text = circuit_to_text(build_grover_circuit(spec))
     if args.out is None or args.out == "-":
         return Report(None, [], text.splitlines())

@@ -4,33 +4,36 @@ Every state reachable from the uniform superposition by oracle and diffuser
 stays inside the plane spanned by |beta> (uniform over marked strings) and
 |alpha> (uniform over unmarked strings). This module decomposes simulated
 states into that plane, from two sums (over the m marked amplitudes and over
-all N) and with no basis vector built, and builds per-iteration sweep reports
-that put simulation and the closed form of `grover_kit.spec` side by side.
+all N) and with no basis vector built. `grover_summary` gives the same
+summary of a Grover state from its two amplitudes alone, and
+`iteration_report` builds per-iteration sweep reports that put simulation
+and the closed form of `grover_kit.spec` side by side.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from grover_kit.circuit import grover_recurrence
+from grover_kit.circuit import check_pair, grover_pair, grover_recurrence
 from grover_kit.spec import (  # noqa: F401  the closed form is also importable from here
+    MAX_REPORT_ITERATIONS,
     GroverAngles,
     GroverSpec,
     OracleStyle,
     SpecError,
+    check_k_max,
     grover_angles,
     optimal_iterations,
     p_each_unmarked,
     predicted_success,
 )
-from grover_kit.statevector import NORM_TOL, StateVector, bitstring_to_index
+from grover_kit.statevector import StateVector, bitstring_to_index
 
 ANCILLA_FACTOR_TOL = 1e-9
-MAX_REPORT_ITERATIONS = 64
 # plane_decompose takes its residual over blocks of this many amplitudes (128 KiB).
 RESIDUAL_BLOCK = 1 << 13
 
@@ -173,6 +176,42 @@ def oblique_coords(
     return c_p, c_r
 
 
+class PlaneSummary(NamedTuple):
+    """What `run` reports of a data register: each marked string's probability, in the
+    order of `marked`, the plane coordinates and the oblique pair (c_p, c_r)."""
+
+    p_marked: list[float]
+    coords: PlaneCoords
+    oblique: tuple[complex, complex]
+
+
+def state_summary(state: StateVector, marked: Sequence[str]) -> PlaneSummary:
+    """The summary measured on `state`: one `plane_sums` for both coordinate pairs, and the
+    residual as `plane_decompose` takes it."""
+    sums = plane_sums(state, marked)
+    return PlaneSummary(
+        [state.probability(bits) for bits in marked],
+        plane_decompose(state, marked, sums=sums),
+        oblique_coords(state, marked, sums=sums),
+    )
+
+
+def grover_summary(spec: GroverSpec) -> PlaneSummary:
+    """The summary of `grover_data_state(spec)` in O(m), from its (v, u) alone.
+
+    With s = sqrt(N), the marked amplitude is v/s and every other one u/s, so
+    a_marked = sqrt(m)*v/s, a_unmarked = sqrt(N - m)*u/s, c_p = u and
+    c_r = sqrt(m)*(v - u)/s. The state lies in the plane by construction, so
+    the residual is 0; `state_summary` measures it. `grover_pair` checks the
+    pair's norm, so drift raises as validating the state would.
+    """
+    v, u = grover_pair(spec)
+    dim, m = 1 << spec.n_qubits, spec.n_marked
+    root = math.sqrt(dim)
+    coords = PlaneCoords(math.sqrt(m) * v / root, math.sqrt(dim - m) * u / root, 0.0)
+    return PlaneSummary([abs(v / root) ** 2] * m, coords, (u, math.sqrt(m) * (v - u) / root))
+
+
 def strip_ancilla(state: StateVector) -> StateVector:
     """Remove a trailing ancilla that sits in (|0>-|1>)/sqrt(2).
 
@@ -205,22 +244,17 @@ def iteration_report(spec: GroverSpec, k_max: int) -> list[IterationRow]:
 
     Simulated values come from the two-value executor's `grover_recurrence`,
     not from the gate circuit: row k reads its (v, u) and writes no state.
-    Each row's norm, sqrt((m*v^2 + (N - m)*u^2)/N), must be 1 within
-    NORM_TOL, as a validated state's is, so drift still raises. Both oracle
+    `check_pair` checks each row's norm, so drift still raises. Both oracle
     styles give the same data register, so the style does not change a row.
     The gate path stays the reference the tests compare with.
     """
-    if not 0 <= k_max <= MAX_REPORT_ITERATIONS:
-        raise SpecError("k_max", f"k_max must be in 0..{MAX_REPORT_ITERATIONS}, got {k_max}")
-    replace(spec, iterations=k_max)  # n=1 refuses k_max >= 1: SpecError
+    check_k_max(spec, k_max)
     angles = grover_angles(spec.n_qubits, spec.n_marked)
     dim, m = 1 << spec.n_qubits, spec.n_marked
     root = math.sqrt(dim)
     rows: list[IterationRow] = []
     for k, (v, u) in zip(range(k_max + 1), grover_recurrence(spec)):
-        norm = math.sqrt((m * v * v + (dim - m) * u * u) / dim)
-        if not abs(norm - 1.0) <= NORM_TOL:
-            raise ValueError(f"row {k}: state norm {norm} deviates from 1 by more than {NORM_TOL}")
+        check_pair(spec, k, v, u)
         angle = (2 * k + 1) * angles.theta_sin
         p = math.sin(angle) ** 2  # predicted_success and p_each_unmarked, from one angle
         rows.append(

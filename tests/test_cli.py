@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import grover_kit
-from grover_kit import circuit, cli, geometry, sampling
+from grover_kit import circuit, cli, geometry, sampling, statevector
 from grover_kit.cli import main
 from grover_kit.sampling import Histogram
 
@@ -260,6 +260,7 @@ def test_sample_rejects_too_many_shots(capsys, monkeypatch):
 
     monkeypatch.setattr(circuit, "grover_data_state", no_simulation)
     monkeypatch.setattr(sampling, "measure_all", no_simulation)
+    monkeypatch.setattr(sampling, "sample_grover", no_simulation)
     code, out, err = run_cli(
         capsys, "sample", "--n", "2", "--marked", "01", "--shots", str((1 << 20) + 1)
     )
@@ -440,9 +441,54 @@ def test_run_takes_the_plane_sums_once(capsys, monkeypatch):
         return plane_sums(*args)
 
     monkeypatch.setattr(geometry, "plane_sums", counting)
-    code, _, _ = run_cli(capsys, "run", "--n", "4", "--marked", "0010", "--iterations", "1")
+    code, _, _ = run_cli(
+        capsys, "run", "--n", "4", "--marked", "0010", "--iterations", "1", "--trace"
+    )
     assert code == 0
     assert len(calls) == 1
+
+
+def test_untraced_run_and_sample_hold_no_state(capsys, monkeypatch):
+    """Untraced `run` reads its summary, and `sample` its distribution, from (v, u) alone."""
+    def no_state(*_, **__):
+        raise AssertionError("an untraced run or sample must not build or analyse a state")
+
+    for module, name in ((circuit, "grover_data_state"), (circuit, "run"),
+                         (geometry, "plane_sums"), (sampling, "measure_all")):
+        monkeypatch.setattr(module, name, no_state)
+    monkeypatch.setattr(statevector.StateVector, "__init__", no_state)
+    spec = ["--n", "4", "--marked", "0010", "1100", "--iterations", "1"]
+    assert run_cli(capsys, "run", *spec)[0] == 0
+    assert run_cli(capsys, "sample", *spec, "--shots", "100")[0] == 0
+
+
+def test_untraced_run_memory():
+    # The summary is O(m) floats: the parent wrote and validated a 16 MiB state at n=20.
+    argv = ["run", "--n", "20", "--marked", "1" * 20, "0" * 20, "--format", "json"]
+    tracemalloc.start()
+    try:
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            code = main(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 1 << 20
+
+
+def test_sample_memory_per_amplitude():
+    # One float64 buffer holds the probabilities and then their running sum: 8 B per
+    # amplitude. The parent wrote the complex state (16 B) and then |a| of it (8 B).
+    argv = ["sample", "--n", "16", "--marked", "1" * 16, "--shots", "64", "--format", "json"]
+    tracemalloc.start()
+    try:
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            code = main(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak / (1 << 16) < 12
 
 
 # Reference trace renderer: one dict per kept amplitude, rendered by json.dumps, csv.writer
@@ -600,7 +646,7 @@ def test_sample_renderer_matches_reference(histogram, bit_order, fmt, block):
     args = cli.build_parser().parse_args(argv)
     out = io.StringIO()
     with contextlib.ExitStack() as stack:
-        stack.enter_context(mock.patch.object(sampling, "measure_all", lambda *_: histogram))
+        stack.enter_context(mock.patch.object(sampling, "sample_grover", lambda *_: histogram))
         stack.enter_context(mock.patch.object(cli, "_TABLE_BLOCK", block))
         stack.enter_context(contextlib.redirect_stdout(out))
         cli._emit(cli.cmd_sample(args), fmt, 6)

@@ -1,7 +1,9 @@
 """The two-value executor against the gate path, dense matrices, the closed form and exact rationals.
 
-`grover_data_state` replaces the compiled gates for untraced commands, so it
-must agree with every other way of computing the same state. Each pair has
+The two-value executor replaces the compiled gates for untraced commands, so
+`grover_data_state`, the state it writes, must agree with every other way of
+computing the same state, and untraced `run` and `sample`, which read its two
+values without writing the state, must agree with that state. Each pair has
 its own tolerance, which grows with the iteration count k because rounding
 accumulates once per iteration. The worst gaps measured over 3,200 random
 specs drawn like `specs()` (n <= 10, any marked set for n <= 6 and up to 24
@@ -18,18 +20,25 @@ strings above, k <= 20, both styles), divided by k + 1, were:
   specs; the closed form divides by cos(theta))
 * marked probability vs the exact rational recurrence: 1.1e-16 (6,000
   specs with n <= 14 and k <= 64)
+* `grover_summary` vs `state_summary` of the written state: 2.7e-15 for
+  a_unmarked, the residual, and c_p and c_r times cos(theta); 1.7e-16 for
+  a_marked; the probabilities equal (3,000 specs with n <= 14, any m up to
+  2^n - 1 and k <= 64; the largest gaps at m = 2^n - 1)
 
 The tolerances below sit 3 to 9 times above those figures.
 """
 
 import math
+import random
 from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from grover_kit import circuit, cli
 from grover_kit.circuit import (
     GroverSpec,
     OracleStyle,
@@ -42,12 +51,15 @@ from grover_kit.circuit import (
 from grover_kit.geometry import (
     data_state,
     grover_angles,
+    grover_summary,
     iteration_report,
     oblique_coords,
     plane_angle,
     plane_decompose,
     predicted_success,
+    state_summary,
 )
+from grover_kit.sampling import measure_all, sample_grover
 from grover_kit.statevector import StateVector
 
 MINUS = np.array([1.0, -1.0]) / math.sqrt(2.0)
@@ -167,3 +179,76 @@ def test_sweep_rows_read_the_state_floats(spec):
     for k, row in enumerate(rows):
         state = grover_data_state(replace(spec, iterations=k))
         assert row.p_marked_sim == sum(state.probability(bits) for bits in spec.marked)
+
+
+@st.composite
+def any_m_specs(draw, max_n: int = 14, max_k: int = 64) -> GroverSpec:
+    """n <= max_n, any marked count m in 1..2^n - 1 at random indices, k <= max_k, either style."""
+    n = draw(st.integers(1, max_n))
+    dim = 1 << n
+    m = draw(st.one_of(st.integers(1, dim - 1), st.sampled_from([1, max(dim // 4, 1), dim - 1])))
+    indices = random.Random(draw(st.integers(0, 2**32))).sample(range(dim), m)
+    k = draw(st.integers(0, max_k if n >= 2 else 0))
+    style = draw(st.sampled_from(OracleStyle))
+    return GroverSpec(n, tuple(format(i, f"0{n}b") for i in indices), k, style)
+
+
+@settings(max_examples=150, deadline=None)
+@given(any_m_specs())
+def test_grover_summary_matches_state_summary(spec):
+    """Untraced `run`'s O(m) summary against the same summary measured on the written state.
+    c_p and c_r grow as 1/cos(theta), as in test_oblique_coords_match_closed_form."""
+    fast = grover_summary(spec)
+    dense = state_summary(grover_data_state(spec), spec.marked)
+    tol = amplitude_tol(spec.iterations)
+    assert fast.p_marked == dense.p_marked
+    assert fast.coords.residual_norm == 0.0
+    assert dense.coords.residual_norm <= tol
+    assert abs(fast.coords.a_marked - dense.coords.a_marked) <= tol
+    assert abs(fast.coords.a_unmarked - dense.coords.a_unmarked) <= tol
+    cos_theta = math.cos(grover_angles(spec.n_qubits, spec.n_marked).theta_sin)
+    for fast_c, dense_c in zip(fast.oblique, dense.oblique):
+        assert abs(fast_c - dense_c) <= tol / cos_theta
+
+
+@st.composite
+def zero_unmarked_specs(draw) -> GroverSpec:
+    """m = N/4 and k = 1: theta = pi/6, so every unmarked amplitude is exactly 0."""
+    n = draw(st.integers(2, 12))
+    dim = 1 << n
+    indices = random.Random(draw(st.integers(0, 2**32))).sample(range(dim), dim // 4)
+    return GroverSpec(n, tuple(format(i, f"0{n}b") for i in indices), 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(specs(max_n=12, max_k=40), zero_unmarked_specs()),
+    st.integers(1, 4096),
+    st.integers(0, 2**64 - 1),
+)
+def test_sample_grover_matches_measure_all(spec, shots, seed):
+    """The float64 distribution from (v, u) draws what measuring the written state draws."""
+    histogram = sample_grover(spec, shots, seed)
+    assert histogram == measure_all(grover_data_state(spec), shots, seed)
+    v, u = circuit.grover_pair(spec)
+    if u == 0.0:  # an outcome of probability 0 is never drawn
+        marked = {int(bits, 2) for bits in spec.marked}
+        assert set(histogram.outcomes.tolist()) <= marked
+
+
+@pytest.mark.parametrize("command, extra", [("run", []), ("sample", ["--shots", "64"])])
+def test_untraced_commands_raise_on_drift(monkeypatch, capsys, command, extra):
+    """A recurrence whose norm grows by 1e-6 per iteration: untraced `run` and `sample` must
+    refuse it, as `sweep` does (test_geometry.py::test_iteration_report_raises_on_drift)."""
+    recurrence = circuit.grover_recurrence
+
+    def drifting(spec):
+        for k, (v, u) in enumerate(recurrence(spec)):
+            yield v * (1 + 1e-6 * k), u * (1 + 1e-6 * k)
+
+    monkeypatch.setattr(circuit, "grover_recurrence", drifting)
+    argv = [command, "--n", "4", "--marked", "0101", *extra]
+    assert cli.main([*argv, "--iterations", "0"]) == 0
+    capsys.readouterr()
+    assert cli.main([*argv, "--iterations", "5"]) == 1
+    assert capsys.readouterr().err.startswith("internal error: ValueError: row 5: state norm")

@@ -89,6 +89,11 @@ def cold(*args: str) -> tuple[subprocess.CompletedProcess, set[str]]:
         (["-m", "grover_kit.cli", "run", "--n", "3", "--marked", "101", "--style", "x"], 2),
         (["-c", "import grover_kit"], 0),
         (["-c", "import grover_kit; print(grover_kit.optimal_iterations(12, 3))"], 0),
+        # Spec errors: every command validates its flags before it imports numpy.
+        (["-m", "grover_kit.cli", "run", "--n", "0", "--marked", "1"], 2),
+        (["-m", "grover_kit.cli", "sample", "--n", "2", "--marked", "01", "--shots", "0"], 2),
+        (["-m", "grover_kit.cli", "sweep", "--n", "1", "--marked", "0", "--kmax", "3"], 2),
+        (["-m", "grover_kit.cli", "dump", "--n", "0", "--marked", "1"], 2),
     ],
 )
 def test_start_without_numpy(args, code):
