@@ -54,8 +54,8 @@ FORMAT_VERSION = "1"
 SEED_ENV_VAR = "GROVER_KIT_SEED"
 AMPLITUDE_CUTOFF = 1e-12
 # --trace keeps up to steps x 2^wires amplitudes, as columns of about wires + 8 bytes each, and
-# writes one step at a time. A json trace of 933,888 amplitudes at n=14 took 1.4-1.5 s with a
-# 61 MiB peak RSS on a 2-vCPU machine, so this limit bounds time rather than memory.
+# writes one step at a time. A json trace of 933,888 amplitudes at n=14 took 0.72-0.75 s with a
+# 63 MiB peak RSS on a 2-vCPU machine, so this limit bounds time rather than memory.
 MAX_TRACE_AMPLITUDES = 1 << 20
 
 _STYLE_FLAGS = {"mcz": OracleStyle.MCZ_DIRECT, "mcx-ancilla": OracleStyle.MCX_ANCILLA}
@@ -69,6 +69,27 @@ _SPEC_FLAGS = {
 _CSV_NAMES = {"p_per_marked": "p({})", "plane": "{}", "oblique": "{}"}
 # Table rows per rendered chunk: bounds the strings held at 2^20 rows.
 _TABLE_BLOCK = 1 << 12
+
+
+# Each listing's layout per format, as str.format templates: (head, prefix, tail, sep, foot).
+# A block, a trace step or `_TABLE_BLOCK` rows of a table, is its head, then its lines joined
+# by sep, each the prefix, a bitstring and the tail of its value, then its foot (a literal).
+_LAYOUTS = {
+    ("trace", "json"): (
+        '{comma}\n    {{\n      "step": {number},\n      "label": {json_label},\n'
+        '      "ops": [\n        {first},\n        {last}\n      ],\n      "state": [\n',
+        '        {{\n          "bitstring": "',
+        '",\n          "re": {re!r},\n          "im": {im!r}\n        }}',
+        ",\n", "\n      ]\n    }",
+    ),
+    ("trace", "csv"): ("", "{csv_row}", ",{re!r},{im!r}", "\n", ""),
+    ("trace", "text"): ("step {number}  [{label}]  {span}\n", "  |", ">  {text}", "\n", ""),
+    ("table", "json"): (
+        "{comma}", '\n    {{\n      "bitstring": "', '",\n      "{name}": {value}\n    }}', ",", ""
+    ),
+    ("table", "csv"): ("", "", ",{value}", "\n", ""),
+    ("table", "text"): ("", "{left}", "{right}{text}", "\n", ""),
+}
 
 
 class Rows(NamedTuple):
@@ -192,9 +213,24 @@ def _rows(values: np.ndarray, n_qubits: int, bit_order: str, convert, indices=No
 
 
 def _join(bits: np.ndarray, which: np.ndarray, prefix: str, tails: list[str], sep: str) -> str:
-    """Lines that each join `prefix`, a bitstring and the tail of its value, `tails[which]`."""
-    rows = zip(bits.astype(str).tolist(), which.tolist())
-    return sep.join([prefix + b + tails[w] for b, w in rows])
+    """Lines that each join `prefix`, a bitstring and the tail of its value, `tails[which]`,
+    with `sep` between them. Each line is a row of one uint8 matrix: the prefix, the bitstring,
+    then the value's tail and `sep` padded with 0xFF, a byte that no UTF-8 text holds, so
+    dropping every 0xFF (and the last `sep`) leaves the text."""
+    import numpy as np
+
+    ends = [(tail + sep).encode() for tail in tails]
+    width = max(map(len, ends), default=0)
+    table = np.frombuffer(b"".join(end.ljust(width, b"\xff") for end in ends), dtype=np.uint8)
+    head = np.frombuffer(prefix.encode(), dtype=np.uint8)
+    start, stop = head.size, head.size + bits.itemsize
+    lines = np.empty((len(bits), stop + width), dtype=np.uint8)
+    lines[:, :start] = head
+    lines[:, start:stop] = bits.view(np.uint8).reshape(len(bits), bits.itemsize)
+    lines[:, stop:] = table.reshape(len(ends), width)[which]
+    flat = lines.ravel()
+    kept = flat[flat != 0xFF]
+    return str(kept[:kept.size - len(sep.encode())], "utf-8")
 
 
 def _simulate(circuit, labels, args) -> tuple[StateVector, list | None]:
@@ -210,7 +246,8 @@ def _simulate(circuit, labels, args) -> tuple[StateVector, list | None]:
         raise SpecError(
             "trace", f"{len(steps)} steps x 2^{n} amplitudes exceed {MAX_TRACE_AMPLITUDES}"
         )
-    entry = partial(_complex_entry, precision=args.precision)
+    # Rounds each distinct amplitude once per trace; -0.0 and 0.0 are one key and one entry.
+    entry = cache(partial(_complex_entry, precision=args.precision))
     state, trace, first = None, [], 0  # the first slice starts from |0...0>
     for label, size in steps:
         last = first + size - 1
@@ -221,51 +258,39 @@ def _simulate(circuit, labels, args) -> tuple[StateVector, list | None]:
 
 
 def _trace_chunks(trace: list, fmt: str, precision: int) -> Iterator[str]:
-    """The trace in `fmt`, one string per step (json: "rows" without its brackets). Each
-    amplitude's line is a `_join` of the step's prefix, its bitstring and the tail of its
-    value, which is formatted once per distinct value."""
+    """The trace in `fmt` by `_LAYOUTS`, one string per step (json: "rows" without its
+    brackets). Each distinct rounded amplitude's tail is formatted once per trace."""
+    head, prefix, tail, sep, foot = _LAYOUTS["trace", fmt]
+    text = partial(_fmt, precision=precision)
+    tail_of = cache(lambda re, im: tail.format(re=re, im=im, text=text({"re": re, "im": im})))
     for number, (label, (first, last), rows) in enumerate(trace):
-        if fmt == "json":
-            head = (
-                f'{"," if number else ""}\n    {{\n      "step": {number},\n'
-                f'      "label": {json.dumps(label)},\n'
-                f'      "ops": [\n        {first},\n        {last}\n      ],\n      "state": [\n'
-            )
-            prefix, sep, foot = '        {\n          "bitstring": "', ",\n", "\n      ]\n    }"
-            tail = '",\n          "re": {re!r},\n          "im": {im!r}\n        }}'.format_map
-        elif fmt == "csv":
-            line = io.StringIO()
-            csv.writer(line, lineterminator="\n").writerow([number, label, ""])
-            head, prefix, sep, foot = "", line.getvalue()[:-1], "\n", ""
-            tail = ",{re!r},{im!r}".format_map
-        else:
-            span = f"op {first}" if first == last else f"ops {first}..{last}"
-            head, prefix, sep, foot = f"step {number}  [{label}]  {span}\n", "  |", "\n", ""
-            tail = lambda entry: ">  " + _fmt(entry, precision)  # noqa: E731
-        tails = [tail(entry) for entry in rows.values]
-        yield head + _join(rows.bits, rows.which, prefix, tails, sep) + foot
+        line = io.StringIO()
+        csv.writer(line, lineterminator="\n").writerow([number, label, ""])
+        step = {
+            "number": number, "label": label, "first": first, "last": last,
+            "span": f"op {first}" if first == last else f"ops {first}..{last}",
+            "comma": "," if number else "", "json_label": json.dumps(label),
+            "csv_row": line.getvalue()[:-1],
+        }
+        tails = [tail_of(**entry) for entry in rows.values]
+        lines = _join(rows.bits, rows.which, prefix.format_map(step), tails, sep)
+        yield head.format_map(step) + lines + foot
 
 
-def _table_chunks(
-    rows: Rows, name: str, text: tuple[str, str], fmt: str, precision: int
-) -> Iterator[str]:
-    """A table in `fmt`, ranked by descending value, then by the bitstring as displayed, one
-    string per block of rows (json: the list without its brackets). Json keys each value by
-    `name`; a text line joins `text[0]`, the bitstring, `text[1]` and the value."""
+def _table_chunks(rows: Rows, fields: dict, fmt: str, precision: int) -> Iterator[str]:
+    """A table in `fmt` by `_LAYOUTS`, ranked by descending value, then by the bitstring as
+    displayed, one string per block of rows (json: the list without its brackets). `fields`
+    holds the value's json key, `name`, and what a text line puts around the bitstring,
+    `left` and `right`."""
     import numpy as np
 
-    if fmt == "json":
-        prefix, infix = '\n    {\n      "bitstring": "', f'",\n      "{name}": '
-        suffix, sep = "\n    }", ","
-    else:
-        (prefix, infix), suffix, sep = text if fmt == "text" else ("", ","), "", "\n"
-    value = partial(_fmt, precision=precision) if fmt == "text" else str
-    tails = [infix + value(v) + suffix for v in rows.values]
+    head, prefix, tail, sep, _ = _LAYOUTS["table", fmt]
+    tails = [tail.format(value=v, text=_fmt(v, precision), **fields) for v in rows.values]
     order = np.lexsort((rows.bits, -np.asarray(rows.values)[rows.which]))
     for start in range(0, len(order), _TABLE_BLOCK):
         block = order[start:start + _TABLE_BLOCK]
-        lines = _join(rows.bits[block], rows.which[block], prefix, tails, sep)
-        yield (sep if start and fmt == "json" else "") + lines
+        lines = _join(rows.bits[block], rows.which[block], prefix.format_map(fields), tails, sep)
+        yield head.format(comma="," if start else "") + lines
 
 
 def _resolve_seed(args) -> int:
@@ -377,7 +402,7 @@ def cmd_sample(args) -> Report:
 
     histogram = sample_grover(spec, args.shots, seed)
     counts = _rows(histogram.tallies, spec.n_qubits, args.bit_order, int, histogram.outcomes)
-    table = Listing(_table_chunks, counts, "count", ("", "  "))
+    table = Listing(_table_chunks, counts, {"name": "count", "left": "", "right": "  "})
     lines = [f"shots: {histogram.shots}", f"seed: {histogram.seed}", table]
     return _report(
         "sample", _spec_echo(spec, args), table, lines, [["bitstring", "count"], table],
@@ -415,7 +440,7 @@ def cmd_load(args) -> Report:
     final, trace = _simulate(circuit, lambda: map(op_to_text, circuit.ops), args)
     probs = _rows(final.probabilities(), circuit.n_qubits, args.bit_order,
                   partial(_r, precision=args.precision))
-    table = Listing(_table_chunks, probs, "p", ("p(", "): "))
+    table = Listing(_table_chunks, probs, {"name": "p", "left": "p(", "right": "): "})
     lines = [f"source: {source}", f"n: {circuit.n_qubits}", f"ops: {len(circuit)}", table]
     echo = {"source": source, "n": circuit.n_qubits, "bit_order": args.bit_order}
     return _report("load", echo, table, lines, [["bitstring", "p"], table], trace, table)
@@ -439,15 +464,12 @@ def _emit(report: Report, fmt: str, precision: int) -> None:
             text = "\n  ]" + text
         print(text)
         return
-    writer = csv.writer(sys.stdout, lineterminator="\n")
+    write = csv.writer(sys.stdout, lineterminator="\n").writerow if fmt == "csv" else print
     for item in report.table if fmt == "csv" else report.lines:
         if isinstance(item, Listing):
-            for chunk in item(fmt, precision):
-                print(chunk)
-        elif fmt == "csv":
-            writer.writerow(item)
+            sys.stdout.writelines(chunk + "\n" for chunk in item(fmt, precision))
         else:
-            print(item)
+            write(item)
 
 
 @cache

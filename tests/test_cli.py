@@ -11,7 +11,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import grover_kit
@@ -585,8 +585,9 @@ def test_trace_renderer_matches_reference(raw, precision, bit_order, fmt, source
 
 
 def test_trace_memory_per_kept_amplitude():
-    # 9 steps, each keeping all 2^14 amplitudes. The columns and one rendered step take ~62 B
-    # per amplitude; a dict per amplitude and a whole rendered document take ~1 KiB.
+    # 9 steps, each keeping all 2^14 amplitudes. The columns and one rendered step take ~116 B
+    # per amplitude (98 B with one string per line); a dict per amplitude and a whole rendered
+    # document take ~1 KiB.
     argv = ["run", "--n", "14", "--marked", "0" * 14, "--iterations", "1", "--trace",
             "--format", "json"]
     tracemalloc.start()
@@ -598,6 +599,42 @@ def test_trace_memory_per_kept_amplitude():
         tracemalloc.stop()
     assert code == 0
     assert peak / (9 << 14) < 512
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.text(), st.lists(st.text(), min_size=1, max_size=6), st.text(min_size=1),
+    st.integers(1, 26), st.lists(st.tuples(st.integers(0, (1 << 26) - 1), st.integers(0, 5)),
+                                 max_size=64),
+)
+@example("\x00", ["\x00", ""], "\x00", 1, [(0, 0), (1, 1), (1, 0)])
+@example("é|", ["", "→ ½"], "\n", 3, [(5, 1), (2, 0)])
+def test_join_matches_str_join(prefix, tails, sep, wires, rows):
+    # Any text, NUL, non-ASCII and empty tails included: no UTF-8 text holds the 0xFF padding.
+    strings = [format(index % (1 << wires), f"0{wires}b") for index, _ in rows]
+    picks = [pick % len(tails) for _, pick in rows]
+    bits = np.array(strings, dtype=f"S{wires}")
+    got = cli._join(bits, np.array(picks, dtype=np.intp), prefix, tails, sep)
+    assert got == sep.join(prefix + b + tails[w] for b, w in zip(strings, picks))
+
+
+def test_trace_rounds_each_distinct_amplitude_once():
+    # Four steps of 2 wires: 1/sqrt(2), then 1/2 three times (the last also -1/2). Rounding per
+    # step takes 1 + 1 + 1 + 2 calls; once per trace takes one per distinct amplitude.
+    text = "# qubits: 2\nH 0\nH 1\nX 0\nZ 1\n"
+    parsed, state, distinct, per_step = circuit.circuit_from_text(text), None, set(), 0
+    for op in parsed.ops:
+        state = circuit.run(circuit.Circuit(2, (op,)), state)
+        kept = {z for z in state.amps.tolist() if abs(z) > cli.AMPLITUDE_CUTOFF}
+        distinct |= kept
+        per_step += len(kept)
+    out = io.StringIO()
+    with mock.patch.object(cli, "_complex_entry", wraps=cli._complex_entry) as convert, \
+            mock.patch("sys.stdin", io.StringIO(text)), contextlib.redirect_stdout(out):
+        assert main(["load", "--trace", "--format", "json"]) == 0
+    assert len(json.loads(out.getvalue())["rows"]) == 4
+    assert per_step > len(distinct)
+    assert convert.call_count == len(distinct)
 
 
 # Reference sample renderer: one dict per outcome, sorted in Python and rendered through the
