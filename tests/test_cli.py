@@ -477,8 +477,9 @@ def test_untraced_run_memory():
 
 
 def test_sample_memory_per_amplitude():
-    # One float64 buffer holds the probabilities and then their running sum: 8 B per
-    # amplitude. The parent wrote the complex state (16 B) and then |a| of it (8 B).
+    # A bound from when one float64 buffer held the probabilities and then their running
+    # sum (8 B per amplitude). `sample` now holds no per-amplitude buffer at all, so it is
+    # loose; test_sample_memory_is_constant below holds the current bound.
     argv = ["sample", "--n", "16", "--marked", "1" * 16, "--shots", "64", "--format", "json"]
     tracemalloc.start()
     try:
@@ -489,6 +490,23 @@ def test_sample_memory_per_amplitude():
         tracemalloc.stop()
     assert code == 0
     assert peak / (1 << 16) < 12
+
+
+def test_sample_memory_is_constant():
+    # The running sum is kept as pieces, O(m + n) of them for m marked strings at n qubits,
+    # so no 2^n buffer is built: one float64 per amplitude would be 8 MiB at n=20.
+    argv = ["sample", "--n", "20", "--marked", "1" * 20, "--shots", "64", "--format", "json"]
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        main(argv)  # first-use imports (numpy.random) are not the sampler's memory
+    tracemalloc.start()
+    try:
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            code = main(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 1 << 20
 
 
 # Reference trace renderer: one dict per kept amplitude, rendered by json.dumps, csv.writer
