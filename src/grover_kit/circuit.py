@@ -245,15 +245,16 @@ def _apply(amps: np.ndarray, n_qubits: int, op: Gate) -> None:
 
 
 def run(circuit: Circuit, initial: StateVector | None = None) -> StateVector:
-    """Apply every op in order to `initial` (default |0...0>). Exact, no renormalization.
+    """Apply every op in order to `initial` (default |0...0> in float64). Exact, no
+    renormalization. The result keeps the dtype of the start: float64 from the default.
 
     The result is validated on construction, so a norm drift raises instead
     of propagating. Running consecutive slices of a circuit, each from the
     previous result, gives amplitudes identical to one run of the whole
     circuit; that is how intermediate states are observed.
     """
-    if initial is None:  # built in place: no second full state to copy from
-        amps = np.zeros(1 << circuit.n_qubits, dtype=np.complex128)
+    if initial is None:  # built in place, real: every gate is real, so the state stays real
+        amps = np.zeros(1 << circuit.n_qubits)
         amps[0] = 1.0
     elif initial.n_qubits != circuit.n_qubits:
         raise ValueError(

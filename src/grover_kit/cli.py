@@ -53,9 +53,11 @@ if TYPE_CHECKING:  # numpy and the simulation modules load inside the commands t
 FORMAT_VERSION = "1"
 SEED_ENV_VAR = "GROVER_KIT_SEED"
 AMPLITUDE_CUTOFF = 1e-12
-# --trace keeps up to steps x 2^wires amplitudes, as columns of about wires + 8 bytes each, and
-# writes one step at a time. A json trace of 933,888 amplitudes at n=14 took 0.72-0.75 s with a
-# 63 MiB peak RSS on a 2-vCPU machine, so this limit bounds time rather than memory.
+# --trace keeps up to steps x 2^wires amplitudes, as a row index of 8 bytes each (and a
+# bitstring in a step that drops some), and writes one step at a time. A json trace of 933,888
+# amplitudes at n=14 took 0.50-0.52 s with a 54 MiB peak RSS on a 2-vCPU machine, where complex
+# states and tables built per step took 0.58-0.64 s and 63 MiB, so this limit bounds time
+# rather than memory.
 MAX_TRACE_AMPLITUDES = 1 << 20
 
 _STYLE_FLAGS = {"mcz": OracleStyle.MCZ_DIRECT, "mcx-ancilla": OracleStyle.MCX_ANCILLA}
@@ -212,22 +214,33 @@ def _rows(values: np.ndarray, n_qubits: int, bit_order: str, convert, indices=No
     return Rows(bits, which, [convert(v) for v in distinct.tolist()])
 
 
-def _join(bits: np.ndarray, which: np.ndarray, prefix: str, tails: list[str], sep: str) -> str:
-    """Lines that each join `prefix`, a bitstring and the tail of its value, `tails[which]`,
-    with `sep` between them. Each line is a row of one uint8 matrix: the prefix, the bitstring,
-    then the value's tail and `sep` padded with 0xFF, a byte that no UTF-8 text holds, so
-    dropping every 0xFF (and the last `sep`) leaves the text."""
+def _ends(tails: list[str], sep: str) -> np.ndarray:
+    """Each tail followed by `sep`, as the rows of one uint8 matrix, padded with 0xFF: a byte
+    that no UTF-8 text holds."""
     import numpy as np
 
     ends = [(tail + sep).encode() for tail in tails]
     width = max(map(len, ends), default=0)
     table = np.frombuffer(b"".join(end.ljust(width, b"\xff") for end in ends), dtype=np.uint8)
+    return table.reshape(len(ends), width)
+
+
+def _join(
+    bits: np.ndarray, which: np.ndarray, prefix: str, tails: list | np.ndarray, sep: str
+) -> str:
+    """Lines that each join `prefix`, a bitstring and the tail of its value, `tails[which]`,
+    with `sep` between them. `tails` is a list of strings, or their `_ends(tails, sep)` when
+    many calls share them. Each line is a row of one uint8 matrix: the prefix, the bitstring,
+    then the value's end, so dropping every 0xFF (and the last `sep`) leaves the text."""
+    import numpy as np
+
+    ends = _ends(tails, sep) if isinstance(tails, list) else tails
     head = np.frombuffer(prefix.encode(), dtype=np.uint8)
     start, stop = head.size, head.size + bits.itemsize
-    lines = np.empty((len(bits), stop + width), dtype=np.uint8)
+    lines = np.empty((len(bits), stop + ends.shape[1]), dtype=np.uint8)
     lines[:, :start] = head
     lines[:, start:stop] = bits.view(np.uint8).reshape(len(bits), bits.itemsize)
-    lines[:, stop:] = table.reshape(len(ends), width)[which]
+    lines[:, stop:] = ends[which]
     flat = lines.ravel()
     kept = flat[flat != 0xFF]
     return str(kept[:kept.size - len(sep.encode())], "utf-8")
@@ -235,7 +248,13 @@ def _join(bits: np.ndarray, which: np.ndarray, prefix: str, tails: list[str], se
 
 def _simulate(circuit, labels, args) -> tuple[StateVector, list | None]:
     """Run `circuit` on |0...0>; with --trace, one slice and one step per run of equal
-    `labels()`: its label, its first and last op, and the `Rows` of its state."""
+    `labels()`: its label, its first and last op, and the `Rows` of its state.
+
+    The steps share two tables, each built once per trace: the bitstrings of every index
+    that some step keeps, and the distinct kept amplitudes, each rounded once. A step that
+    keeps every amplitude lists the first table whole; each step finds its values' rows in
+    the second by a binary search, which holds less at the trace limit than np.unique's
+    inverse of every kept amplitude at once."""
     from grover_kit.circuit import Circuit, run
 
     if not args.trace:
@@ -246,24 +265,43 @@ def _simulate(circuit, labels, args) -> tuple[StateVector, list | None]:
         raise SpecError(
             "trace", f"{len(steps)} steps x 2^{n} amplitudes exceed {MAX_TRACE_AMPLITUDES}"
         )
-    # Rounds each distinct amplitude once per trace; -0.0 and 0.0 are one key and one entry.
-    entry = cache(partial(_complex_entry, precision=args.precision))
-    state, trace, first = None, [], 0  # the first slice starts from |0...0>
+    if not steps:
+        return run(circuit), []
+    import numpy as np
+
+    from grover_kit.statevector import bitstrings
+
+    seen = np.zeros(1 << n, dtype=bool)
+    state, kept, first = None, [], 0  # the first slice starts from |0...0>
     for label, size in steps:
         last = first + size - 1
         state = run(Circuit(n, circuit.ops[first:last + 1]), state)
-        trace.append((label, (first, last), _rows(state.amps, n, args.bit_order, entry)))
+        mask = np.abs(state.amps) > AMPLITUDE_CUTOFF
+        seen |= mask
+        kept.append((label, (first, last), None if mask.all() else mask, state.amps[mask]))
         first = last + 1
-    return (state if steps else run(circuit)), trace
+    table = bitstrings(np.flatnonzero(seen), n, args.bit_order)
+    slot = np.cumsum(seen) - 1  # each seen index's row of `table`
+    distinct = np.unique(np.concatenate([amps for *_, amps in kept]))
+    values = [_complex_entry(v, args.precision) for v in distinct.tolist()]
+    trace = []
+    for label, ops, mask, amps in kept:  # a mask of None keeps every amplitude
+        bits = table if mask is None else table[slot[mask]]
+        trace.append((label, ops, Rows(bits, np.searchsorted(distinct, amps), values)))
+    return state, trace
 
 
 def _trace_chunks(trace: list, fmt: str, precision: int) -> Iterator[str]:
     """The trace in `fmt` by `_LAYOUTS`, one string per step (json: "rows" without its
-    brackets). Each distinct rounded amplitude's tail is formatted once per trace."""
+    brackets). The ends of a table of values that consecutive steps share, as the steps of
+    `_simulate` share one, are formatted and encoded once."""
     head, prefix, tail, sep, foot = _LAYOUTS["trace", fmt]
-    text = partial(_fmt, precision=precision)
-    tail_of = cache(lambda re, im: tail.format(re=re, im=im, text=text({"re": re, "im": im})))
+    values = ends = None
     for number, (label, (first, last), rows) in enumerate(trace):
+        if rows.values is not values:
+            values = rows.values
+            tails = [tail.format(**v, text=_fmt(v, precision)) for v in values]
+            ends = _ends(tails, sep)
         line = io.StringIO()
         csv.writer(line, lineterminator="\n").writerow([number, label, ""])
         step = {
@@ -272,8 +310,7 @@ def _trace_chunks(trace: list, fmt: str, precision: int) -> Iterator[str]:
             "comma": "," if number else "", "json_label": json.dumps(label),
             "csv_row": line.getvalue()[:-1],
         }
-        tails = [tail_of(**entry) for entry in rows.values]
-        lines = _join(rows.bits, rows.which, prefix.format_map(step), tails, sep)
+        lines = _join(rows.bits, rows.which, prefix.format_map(step), ends, sep)
         yield head.format_map(step) + lines + foot
 
 
@@ -286,10 +323,11 @@ def _table_chunks(rows: Rows, fields: dict, fmt: str, precision: int) -> Iterato
 
     head, prefix, tail, sep, _ = _LAYOUTS["table", fmt]
     tails = [tail.format(value=v, text=_fmt(v, precision), **fields) for v in rows.values]
+    ends = _ends(tails, sep)
     order = np.lexsort((rows.bits, -np.asarray(rows.values)[rows.which]))
     for start in range(0, len(order), _TABLE_BLOCK):
         block = order[start:start + _TABLE_BLOCK]
-        lines = _join(rows.bits[block], rows.which[block], prefix.format_map(fields), tails, sep)
+        lines = _join(rows.bits[block], rows.which[block], prefix.format_map(fields), ends, sep)
         yield head.format(comma="," if start else "") + lines
 
 

@@ -86,7 +86,8 @@ def marked_plane_basis(n_qubits: int, marked: Sequence[str]) -> tuple[StateVecto
 
 
 class PlaneSums(NamedTuple):
-    """Marked indices, the sum s_m of the marked amplitudes and the sum S of all N."""
+    """Marked indices, the sum s_m of the marked amplitudes and the sum S of all N: floats
+    for a float64 state, complex numbers for a complex128 one."""
 
     indices: list[int]
     s_m: complex
@@ -96,7 +97,7 @@ class PlaneSums(NamedTuple):
 def plane_sums(state: StateVector, marked: Sequence[str]) -> PlaneSums:
     """The sums that plane_decompose and oblique_coords take; checks `marked`."""
     indices = _marked_indices(state.n_qubits, marked)
-    return PlaneSums(indices, complex(state.amps[indices].sum()), complex(state.amps.sum()))
+    return PlaneSums(indices, state.amps[indices].sum().item(), state.amps.sum().item())
 
 
 def plane_decompose(
@@ -129,15 +130,20 @@ def _residual(
     at a time in one buffer, so no state-sized temporary is built. Each block's squares are
     summed as np.linalg.norm sums them, so a state of one block gets the same float, and the
     block sums are added exactly (math.fsum): a running float sum of them gained rounding with
-    each block, up to 1.5e-15 relative at 256 one-amplitude blocks."""
+    each block, up to 1.5e-15 relative at 256 one-amplitude blocks. The buffer takes the
+    differences' dtype: float64 for a real state and projection."""
     marked = np.sort(np.asarray(indices))
-    buf = np.empty(min(len(amps), RESIDUAL_BLOCK), dtype=np.complex128)
+    dtype = np.result_type(amps, on_marked, on_unmarked)
+    buf = np.empty(min(len(amps), RESIDUAL_BLOCK), dtype=dtype)
     sqnorms = []
     for start in range(0, len(amps), len(buf)):
         diff = np.subtract(amps[start:start + len(buf)], on_unmarked, out=buf)
         lo, hi = np.searchsorted(marked, (start, start + len(buf)))
         diff[marked[lo:hi] - start] = amps[marked[lo:hi]] - on_marked
-        sqnorms.append(diff.real.dot(diff.real) + diff.imag.dot(diff.imag))
+        if dtype.kind == "c":
+            sqnorms.append(diff.real.dot(diff.real) + diff.imag.dot(diff.imag))
+        else:
+            sqnorms.append(diff.dot(diff))
     return math.sqrt(math.fsum(sqnorms))
 
 

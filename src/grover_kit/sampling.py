@@ -104,11 +104,19 @@ def _draw(probs: np.ndarray, shots: int, seed: int, n_qubits: int) -> Histogram:
 def _tally(locate, shots: int, seed: int, n_qubits: int) -> Histogram:
     """Draw `shots` uniforms from `default_rng(seed)`, sorted, map them to outcome indices
     with `locate` and count them."""
-    draws = np.random.default_rng(seed).random(shots)
-    draws.sort()  # same tallies; each search starts where the last ended, 2.7x faster at n=20
-    outcomes, tallies = np.unique(locate(draws), return_counts=True)
-    order = np.argsort(-tallies, kind="stable")  # unique sorted the indices, so ties keep them
+    # Sorting gives the same tallies; each search starts where the last ended, 2.7x faster at
+    # n=20. Sorted draws find sorted indices, so each outcome is one run of them.
+    outcomes, tallies = _runs(locate(np.sort(np.random.default_rng(seed).random(shots))))
+    order = np.argsort(-tallies, kind="stable")  # the runs are in index order, so ties keep it
     return Histogram(shots, seed, n_qubits, outcomes[order], tallies[order])
+
+
+def _runs(located: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(located, return_counts=True)`` of sorted `located`, from its runs' lengths."""
+    starts = np.ones(len(located) + 1, dtype=bool)  # where a run starts, and the end of the last
+    np.not_equal(located[1:], located[:-1], out=starts[1:-1])
+    runs = np.flatnonzero(starts)
+    return located[runs[:-1]], np.diff(runs)
 
 
 # The shortest unmarked run that `running_sums` walks binade by binade; it folds a shorter one

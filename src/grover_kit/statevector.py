@@ -1,13 +1,15 @@
-"""Dense complex statevector with exact gate application.
+"""Dense statevector with exact gate application.
 
 Qubit order convention: qubit 0 is the leftmost character of a ket string
 and the most significant bit of the amplitude index. ``|10100>`` therefore
 lives at index ``0b10100 = 20``. This is the reverse of Qiskit's ordering;
 translate qubit indices (q -> n-1-q) when comparing against it.
 
-Amplitudes are numpy complex128 throughout. No operation renormalizes: the
-norm is checked on construction and a violation raises rather than being
-silently corrected.
+Amplitudes are float64 or complex128. H, X, Z and their controlled forms are
+real gates, so `circuit.run` keeps a state it starts from |0...0> as float64,
+half the bytes of complex128; any other input is stored as complex128. No
+operation renormalizes: the norm is checked on construction and a violation
+raises rather than being silently corrected.
 
 All gates run through one kernel, `_apply_gate_inplace`. On the ``(2,)*n``
 reshape of the amplitudes, the subspace where every control is 1 is a
@@ -57,13 +59,15 @@ def bitstrings(indices: np.ndarray, n_qubits: int, bit_order: str = "msb") -> np
 
 
 class StateVector:
-    """Immutable n-qubit state: 2**n_qubits complex amplitudes, unit norm."""
+    """Immutable n-qubit state: 2**n_qubits amplitudes, unit norm. A float64 array is kept
+    as float64; anything else is stored as complex128."""
 
     __slots__ = ("n_qubits", "_amps")
 
     def __init__(self, n_qubits: int, amps: np.ndarray, *, copy: bool = True):
         check_n_qubits(n_qubits)
-        arr = np.asarray(amps, dtype=np.complex128)
+        real = isinstance(amps, np.ndarray) and amps.dtype == np.float64
+        arr = np.asarray(amps, dtype=np.float64 if real else np.complex128)
         if arr.shape != (1 << n_qubits,):
             raise ValueError(
                 f"expected {1 << n_qubits} amplitudes for {n_qubits} qubits, got shape {arr.shape}"

@@ -444,7 +444,7 @@ def test_run_default_start_is_zero_state(circuit):
 
 def test_run_default_start_holds_one_state():
     circuit = Circuit(16, ())
-    state_bytes = 16 << 16  # 2^16 complex128 amplitudes
+    state_bytes = 8 << 16  # 2^16 float64 amplitudes
     tracemalloc.start()
     try:
         final = run(circuit)
@@ -452,4 +452,5 @@ def test_run_default_start_holds_one_state():
     finally:
         tracemalloc.stop()
     assert final.amps[0] == 1.0
+    assert final.amps.dtype == np.float64
     assert peak < 1.5 * state_bytes

@@ -448,6 +448,36 @@ def test_run_takes_the_plane_sums_once(capsys, monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("command", ["run", "load"])
+def test_trace_builds_one_table_per_trace(capsys, monkeypatch, tmp_path, command):
+    """A trace finds its bitstrings and its distinct amplitudes once, not once per step;
+    `load` adds one of each for its probability table."""
+    spec = ["--n", "4", "--marked", "0010", "--iterations", "2"]
+    if command == "load":
+        path = tmp_path / "grover.txt"
+        assert main(["dump", *spec, "--out", str(path)]) == 0
+        argv, tables, steps = ["load", "--file", str(path), "--trace"], 2, 52  # a step per op
+    else:
+        argv, tables, steps = ["run", *spec, "--trace"], 1, 17  # 1 + 8 per iteration
+    calls = {"bitstrings": 0, "unique": 0}
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def count(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, count)
+
+    counting(statevector, "bitstrings")
+    counting(np, "unique")
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert len(json.loads(out)["rows"]) == steps
+    assert calls == {"bitstrings": tables, "unique": tables}
+
+
 def test_untraced_run_and_sample_hold_no_state(capsys, monkeypatch):
     """Untraced `run` reads its summary, and `sample` its distribution, from (v, u) alone."""
     def no_state(*_, **__):
@@ -481,6 +511,8 @@ def test_sample_memory_per_amplitude():
     # sum (8 B per amplitude). `sample` now holds no per-amplitude buffer at all, so it is
     # loose; test_sample_memory_is_constant below holds the current bound.
     argv = ["sample", "--n", "16", "--marked", "1" * 16, "--shots", "64", "--format", "json"]
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        main(argv)  # first-use imports (numpy.random) are not the sampler's memory
     tracemalloc.start()
     try:
         with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):

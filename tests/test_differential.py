@@ -118,6 +118,37 @@ def test_fused_matches_gate_path(spec):
         assert np.allclose(gate.amps, np.kron(fused.amps, MINUS), rtol=0.0, atol=tol)
 
 
+@st.composite
+def gate_circuits(draw) -> circuit.Circuit:
+    """A spec's compiled circuit (n <= 10, k <= 4, either style) followed by up to 12 random
+    H, X, Z, MCX and MCZ ops on its wires."""
+    spec = draw(specs(max_k=4))
+    width = spec.circuit_qubits
+    extra = []
+    for _ in range(draw(st.integers(0, 12))):
+        wires = draw(st.permutations(range(width)))
+        controls = wires[1:1 + draw(st.integers(0, width - 1))]
+        kind = draw(st.sampled_from(("X", "Z") if controls else ("H", "X", "Z")))
+        extra.append(circuit.Gate(kind, wires[0], tuple(controls)))
+    return circuit.Circuit(width, build_grover_circuit(spec).ops + tuple(extra))
+
+
+@settings(max_examples=100, deadline=None)
+@given(gate_circuits())
+def test_real_start_matches_complex_start(gates):
+    """Every gate is real, so `run`'s float64 state is the complex128 state's real part, bit
+    for bit but for the sign of a zero: a complex product adds the imaginary parts' 0 * 0,
+    which can turn -0.0 into 0.0, and float == holds for either sign. No listing shows a
+    zero, which is under the cutoff."""
+    zero = np.zeros(1 << gates.n_qubits, dtype=np.complex128)
+    zero[0] = 1.0
+    real = run(gates)
+    cplx = run(gates, StateVector(gates.n_qubits, zero))
+    assert (real.amps.dtype, cplx.amps.dtype) == (np.float64, np.complex128)
+    assert np.array_equal(real.amps, cplx.amps.real)
+    assert not cplx.amps.imag.any()
+
+
 @settings(max_examples=30, deadline=None)
 @given(specs(max_n=8))
 def test_fused_matches_dense_unitary(spec):

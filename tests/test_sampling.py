@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from grover_kit import sampling
 from grover_kit.circuit import (
     GroverSpec,
     OracleStyle,
@@ -186,3 +187,15 @@ def test_histogram_matches_the_bincount_reference(state, shots, seed):
     assert list(hist.counts.items()) == list(want.items())
     assert int(hist.tallies.sum()) == shots
     assert np.all(state.probabilities()[hist.outcomes] > 0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 40), min_size=1, max_size=300))
+def test_runs_match_unique(values):
+    """The tally counts the runs of sorted outcomes as np.unique counts them, dtypes too."""
+    located = np.sort(np.array(values, dtype=np.intp))
+    want = np.unique(located, return_counts=True)
+    got = sampling._runs(located)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype
+        assert np.array_equal(a, b)

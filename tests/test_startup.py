@@ -108,6 +108,15 @@ def test_start_without_numpy(args, code):
         assert proc.stdout == f"grover-kit {grover_kit.__version__}\n"
 
 
+def test_cold_predict_imports_only_the_spec():
+    """A cold `predict` is the benchmark's setup_s: it loads the closed form and nothing more."""
+    proc, imported = cold("-m", "grover_kit.cli", "predict", "--n", "12", "--m", "3", "--optimal")
+    assert proc.returncode == 0, proc.stderr[-500:]
+    assert {name for name in imported if name.split(".")[0] == "grover_kit"} == {
+        "grover_kit", "grover_kit.spec"
+    }
+
+
 def test_cold_run_still_simulates():
     proc, imported = cold("-m", "grover_kit.cli", "run", *SPEC, "--format", "json")
     assert proc.returncode == 0, proc.stderr[-500:]
