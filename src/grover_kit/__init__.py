@@ -12,8 +12,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "circuit": (
         "Circuit", "Gate", "build_grover_circuit", "circuit_from_text", "circuit_to_text",
-        "compile_diffuser", "compile_phase_oracle", "dense_unitary", "grover_data_state",
-        "grover_iteration", "grover_step_labels", "run",
+        "dense_unitary", "grover_data_state", "grover_step_labels", "run",
     ),
     "geometry": (
         "AncillaFactorizationError", "IterationRow", "PlaneCoords", "iteration_report",
@@ -24,10 +23,7 @@ _EXPORTS = {
         "GroverAngles", "GroverSpec", "OracleStyle", "grover_angles", "optimal_iterations",
         "p_each_unmarked", "predicted_success",
     ),
-    "statevector": (
-        "StateVector", "apply_multicontrolled", "apply_single", "bitstring_to_index",
-        "equal_up_to_global_phase", "index_to_bitstring", "inner_product", "ket", "zero_state",
-    ),
+    "statevector": ("StateVector", "bitstring_to_index", "equal_up_to_global_phase", "ket"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

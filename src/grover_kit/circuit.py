@@ -2,8 +2,11 @@
 
 A circuit is a fixed qubit count plus an ordered tuple of `Gate` ops. A
 `Gate` is H, X or Z on a target qubit; X and Z may also carry control
-qubits, which makes them MCX and MCZ. Compilers produce phase oracles for a
-set of marked bitstrings in two interchangeable styles:
+qubits, which makes them MCX and MCZ. `build_grover_circuit` compiles a
+`GroverSpec` into one gate sequence: a preparation, then one
+oracle-plus-diffuser block per iteration, each op labelled by its step
+(`grover_step_labels`). The phase oracle for the marked bitstrings comes in
+two interchangeable styles:
 
 * ``mcz``: width n, the oracle is an X-sandwich around a multi-controlled Z
   acting on the data qubits themselves.
@@ -11,9 +14,9 @@ set of marked bitstrings in two interchangeable styles:
   prepared in (|0>-|1>)/sqrt(2) and a multi-controlled X targets it, so the
   phase appears on the data register by kickback.
 
-The diffuser circuit on n qubits realizes exactly -(2|u><u| - Id) where u is
-the uniform superposition; the leading minus sign is a global phase per
-iteration and is kept, not hidden.
+The diffuser on n qubits (H layer, X layer, MCZ, X layer, H layer)
+realizes exactly -(2|u><u| - Id) where u is the uniform superposition; the
+leading minus sign is a global phase per iteration and is kept, not hidden.
 
 Two executors compute Grover states. `run` applies the compiled gates one
 by one; it is the reference, and ``run --trace``, ``load`` and
@@ -52,13 +55,7 @@ from typing import Iterator
 
 import numpy as np
 
-from grover_kit.spec import (  # noqa: F401  also importable from here
-    MAX_ITERATIONS,
-    GroverSpec,
-    OracleStyle,
-    SpecError,
-    check_n_qubits,
-)
+from grover_kit.spec import GroverSpec, OracleStyle, check_n_qubits
 from grover_kit.statevector import (
     NORM_TOL,
     StateVector,
@@ -136,10 +133,12 @@ Labelled = tuple[tuple[str, Gate], ...]
 def _grover_blocks(spec: GroverSpec) -> tuple[Labelled, Labelled]:
     """The Grover gate sequence as (preparation, one oracle-plus-diffuser block).
 
-    This is the only place that constructs Grover ops. The full circuit is
-    the preparation followed by ``spec.iterations`` copies of the block; the
-    ops are frozen, so every copy shares the same op objects, and the oracle,
-    diffuser and iteration circuits are slices of the block.
+    This is the only place that constructs Grover ops, and
+    `build_grover_circuit` and `grover_step_labels` are its only readers. The
+    full circuit is the preparation followed by ``spec.iterations`` copies of
+    the block; the ops are frozen, so every copy shares the same op objects.
+    The oracle alone is the ops labelled "k1 2.", the diffuser alone those
+    labelled "k1 3.", of the circuit of one iteration.
 
     Label scheme (toolkit step numbering): step 1 is register preparation
     ("1.0" the ancilla bit flip when present, "1.1" the H layer over every
@@ -176,50 +175,11 @@ def _grover_blocks(spec: GroverSpec) -> tuple[Labelled, Labelled]:
     return prep, tuple(block)
 
 
-def _ops(labelled: Labelled, step: str = "") -> tuple[Gate, ...]:
-    """The ops of `labelled` whose label starts with `step`."""
-    return tuple(op for label, op in labelled if label.startswith(step))
-
-
-def _iteration_block(spec: GroverSpec) -> Labelled:
-    _, block = _grover_blocks(spec)
-    if not block:
-        raise ValueError("a Grover iteration needs at least 2 data qubits")
-    return block
-
-
-def compile_phase_oracle(
-    n_qubits: int, marked: tuple[str, ...] | list[str], style: OracleStyle = OracleStyle.MCZ_DIRECT
-) -> Circuit:
-    """Circuit flipping the sign of every marked basis state.
-
-    One X-sandwiched multi-controlled gate per marked string. For
-    ``mcx_ancilla`` the returned circuit does not include the ancilla
-    preparation; see build_grover_circuit for that.
-    """
-    spec = GroverSpec(n_qubits, tuple(marked), iterations=0, style=style)
-    return Circuit(spec.circuit_qubits, _ops(_iteration_block(spec), "2."))
-
-
-def compile_diffuser(n_qubits: int) -> Circuit:
-    """Reflection through the uniform state, with a global minus sign.
-
-    The gate sequence H-layer, X-layer, MCZ, X-layer, H-layer equals
-    -(2|u><u| - Id) exactly, u the uniform superposition on n_qubits.
-    """
-    spec = GroverSpec(n_qubits, ("0" * n_qubits,), iterations=0)
-    return Circuit(n_qubits, _ops(_iteration_block(spec), "3."))
-
-
-def grover_iteration(spec: GroverSpec) -> Circuit:
-    """One oracle-plus-diffuser block spanning ``spec.circuit_qubits`` wires."""
-    return Circuit(spec.circuit_qubits, _ops(_iteration_block(spec)))
-
-
 def build_grover_circuit(spec: GroverSpec) -> Circuit:
     """Preparation, then `spec.iterations` oracle-plus-diffuser blocks."""
     prep, block = _grover_blocks(spec)
-    return Circuit(spec.circuit_qubits, _ops(prep) + _ops(block) * spec.iterations)
+    ops = tuple(op for _, op in prep) + tuple(op for _, op in block) * spec.iterations
+    return Circuit(spec.circuit_qubits, ops)
 
 
 def grover_step_labels(spec: GroverSpec) -> tuple[str, ...]:

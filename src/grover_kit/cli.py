@@ -302,14 +302,14 @@ def _trace_chunks(trace: list, fmt: str, precision: int) -> Iterator[str]:
             values = rows.values
             tails = [tail.format(**v, text=_fmt(v, precision)) for v in values]
             ends = _ends(tails, sep)
-        line = io.StringIO()
-        csv.writer(line, lineterminator="\n").writerow([number, label, ""])
         step = {
             "number": number, "label": label, "first": first, "last": last,
             "span": f"op {first}" if first == last else f"ops {first}..{last}",
             "comma": "," if number else "", "json_label": json.dumps(label),
-            "csv_row": line.getvalue()[:-1],
         }
+        if fmt == "csv":  # only the csv layout reads csv_row
+            csv.writer(line := io.StringIO(), lineterminator="\n").writerow([number, label, ""])
+            step["csv_row"] = line.getvalue()[:-1]
         lines = _join(rows.bits, rows.which, prefix.format_map(step), ends, sep)
         yield head.format_map(step) + lines + foot
 

@@ -19,18 +19,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from grover_kit.circuit import check_pair, grover_pair, grover_recurrence
-from grover_kit.spec import (  # noqa: F401  the closed form is also importable from here
-    MAX_REPORT_ITERATIONS,
-    GroverAngles,
-    GroverSpec,
-    OracleStyle,
-    SpecError,
-    check_k_max,
-    grover_angles,
-    optimal_iterations,
-    p_each_unmarked,
-    predicted_success,
-)
+from grover_kit.spec import GroverSpec, OracleStyle, check_k_max, grover_angles, p_each_unmarked
 from grover_kit.statevector import StateVector, bitstring_to_index
 
 ANCILLA_FACTOR_TOL = 1e-9

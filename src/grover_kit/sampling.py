@@ -18,12 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from grover_kit.circuit import grover_pair
-from grover_kit.spec import (  # noqa: F401  also importable from here
-    MAX_SEED,
-    MAX_SHOTS,
-    GroverSpec,
-    check_shots_and_seed,
-)
+from grover_kit.spec import GroverSpec, check_shots_and_seed
 from grover_kit.statevector import StateVector, bitstrings
 
 

@@ -21,13 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from grover_kit.spec import (  # noqa: F401  also importable from here
-    MAX_ITERATIONS,
-    MAX_QUBITS,
-    SpecError,
-    check_iterations,
-    check_n_qubits,
-)
+from grover_kit.spec import MAX_QUBITS, check_n_qubits
 
 NORM_TOL = 1e-9
 
@@ -39,13 +33,6 @@ def bitstring_to_index(bits: str) -> int:
     if not bits or any(ch not in "01" for ch in bits):
         raise ValueError(f"not a bitstring: {bits!r}")
     return int(bits, 2)
-
-
-def index_to_bitstring(index: int, n_qubits: int) -> str:
-    """Map an amplitude index back to an msb-first bitstring of width n_qubits."""
-    if not 0 <= index < (1 << n_qubits):
-        raise ValueError(f"index {index} out of range for {n_qubits} qubits")
-    return format(index, f"0{n_qubits}b")
 
 
 def bitstrings(indices: np.ndarray, n_qubits: int, bit_order: str = "msb") -> np.ndarray:
@@ -100,14 +87,6 @@ class StateVector:
 
     def __repr__(self) -> str:
         return f"StateVector(n_qubits={self.n_qubits})"
-
-
-def zero_state(n_qubits: int) -> StateVector:
-    """|0...0> on n_qubits qubits."""
-    check_n_qubits(n_qubits)
-    amps = np.zeros(1 << n_qubits, dtype=np.complex128)
-    amps[0] = 1.0
-    return StateVector(n_qubits, amps, copy=False)
 
 
 _KET_FACTORS = {
@@ -174,31 +153,6 @@ def _apply_multicontrolled_inplace(
 ) -> None:
     """Apply X or Z to `target` where every control is 1; see `_apply_gate_inplace`."""
     _apply_gate_inplace(amps, n_qubits, base, controls, target)
-
-
-def apply_single(state: StateVector, kind: str, target: int) -> StateVector:
-    """New state with H, X or Z applied to `target`. The input is untouched."""
-    from grover_kit.circuit import Circuit, Gate, run  # circuit imports this module
-
-    return run(Circuit(state.n_qubits, (Gate(kind, target),)), state)
-
-
-def apply_multicontrolled(
-    state: StateVector, base: str, controls: tuple[int, ...] | list[int], target: int
-) -> StateVector:
-    """New state with a multi-controlled X or Z applied. The input is untouched."""
-    from grover_kit.circuit import Circuit, Gate, run  # circuit imports this module
-
-    if not controls:
-        raise ValueError("controls must be non-empty")
-    return run(Circuit(state.n_qubits, (Gate(base, target, controls),)), state)
-
-
-def inner_product(a: StateVector, b: StateVector) -> complex:
-    """<a|b> with the conjugate on the first argument."""
-    if a.n_qubits != b.n_qubits:
-        raise ValueError(f"qubit counts differ: {a.n_qubits} vs {b.n_qubits}")
-    return complex(np.vdot(a.amps, b.amps))
 
 
 def equal_up_to_global_phase(a: StateVector, b: StateVector, tol: float = 1e-10) -> bool:

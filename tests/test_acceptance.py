@@ -10,27 +10,24 @@ import time
 
 import numpy as np
 
+from conftest import grover_ops
 from grover_kit.circuit import (
     Circuit,
-    GroverSpec,
-    OracleStyle,
+    Gate,
     build_grover_circuit,
-    compile_diffuser,
     dense_unitary,
-    grover_iteration,
     grover_step_labels,
     run,
 )
-from grover_kit.geometry import (
-    grover_angles,
-    iteration_report,
-    optimal_iterations,
-    plane_angle,
-    plane_decompose,
-    predicted_success,
-    strip_ancilla,
-)
+from grover_kit.geometry import iteration_report, plane_angle, plane_decompose, strip_ancilla
 from grover_kit.sampling import binomial_interval, measure_all
+from grover_kit.spec import (
+    GroverSpec,
+    OracleStyle,
+    grover_angles,
+    optimal_iterations,
+    predicted_success,
+)
 from grover_kit.statevector import StateVector, equal_up_to_global_phase
 
 
@@ -172,7 +169,7 @@ def test_criterion_05_oracle_style_equivalence():
 def test_criterion_06_diffuser_identity():
     worst = 0.0
     for n in range(2, 9):
-        dense = dense_unitary(compile_diffuser(n))
+        dense = dense_unitary(grover_ops(GroverSpec(n, ("0" * n,), 1), "3."))
         dim = 1 << n
         u = np.full(dim, 1 / math.sqrt(dim))
         expected = -(2 * np.outer(u, u) - np.eye(dim))
@@ -194,7 +191,7 @@ def test_criterion_07_plane_invariance_and_angle():
             marked = tuple(format(int(i), f"0{n}b") for i in chosen)
             theta = grover_angles(n, m).theta_sin
             state = run(build_grover_circuit(GroverSpec(n, marked, 0)))
-            block = grover_iteration(GroverSpec(n, marked, 1))
+            block = grover_ops(GroverSpec(n, marked, 1))
             previous = plane_angle(plane_decompose(state, marked))
             for _ in range(20):
                 state = run(block, initial=state)
@@ -251,9 +248,6 @@ def test_criterion_09_sampling_intervals():
 
 
 def test_criterion_10_randomized_property_suite():
-    from grover_kit.circuit import Circuit, Gate
-    from grover_kit.statevector import apply_single
-
     rng = np.random.default_rng(101010)
 
     def rand_state(n):
@@ -283,7 +277,7 @@ def test_criterion_10_randomized_property_suite():
         s = rand_state(n)
         t = int(rng.integers(0, n))
         gate = "H" if rng.integers(0, 2) == 0 else "X"
-        twice = apply_single(apply_single(s, gate, t), gate, t)
+        twice = run(Circuit(n, (Gate(gate, t),) * 2), s)
         if not np.allclose(twice.amps, s.amps, atol=1e-12):
             ok = False
         cases += 1

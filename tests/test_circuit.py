@@ -1,42 +1,37 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import grover_ops
 from grover_kit.circuit import (
-    MAX_ITERATIONS,
     Circuit,
     Gate,
-    GroverSpec,
-    OracleStyle,
-    SpecError,
     build_grover_circuit,
     circuit_from_text,
     circuit_to_text,
-    compile_diffuser,
-    compile_phase_oracle,
     dense_unitary,
-    grover_iteration,
     grover_step_labels,
     op_to_text,
     run,
 )
-from grover_kit.geometry import (
+from grover_kit.geometry import iteration_report
+from grover_kit.sampling import measure_all
+from grover_kit.spec import (
+    MAX_ITERATIONS,
+    MAX_QUBITS,
+    MAX_SHOTS,
+    GroverSpec,
+    OracleStyle,
+    SpecError,
     grover_angles,
-    iteration_report,
     optimal_iterations,
     predicted_success,
 )
-from grover_kit.sampling import MAX_SHOTS, measure_all
-from grover_kit.statevector import (
-    MAX_QUBITS,
-    StateVector,
-    bitstring_to_index,
-    ket,
-    zero_state,
-)
+from grover_kit.statevector import StateVector, bitstring_to_index, ket
 
 RNG = np.random.default_rng(20240818)
 
@@ -98,6 +93,8 @@ def test_circuit_width_check():
         Circuit(2, (Gate("H", 2),))
     with pytest.raises(IndexError):
         Circuit(2, (Gate("X", 3, (0,)),))
+    with pytest.raises(IndexError):
+        Circuit(3, (Gate("X", 1, (3,)),))
     with pytest.raises(ValueError):
         Circuit(0, ())
     with pytest.raises(ValueError):
@@ -182,7 +179,7 @@ def test_mcz_oracle_is_diagonal_sign_flip():
         count = int(RNG.integers(1, min(4, (1 << n) - 1) + 1))
         chosen = RNG.choice(1 << n, size=count, replace=False)
         marked = tuple(format(int(i), f"0{n}b") for i in chosen)
-        oracle = compile_phase_oracle(n, marked, OracleStyle.MCZ_DIRECT)
+        oracle = grover_ops(GroverSpec(n, marked, 1, OracleStyle.MCZ_DIRECT), "2.")
         dense = dense_unitary(oracle)
         expected = np.eye(1 << n, dtype=complex)
         for bits in marked:
@@ -195,7 +192,7 @@ def test_mcx_oracle_phase_kickback():
     # on (data) x |m> the ancilla form acts as the same diagonal sign flip
     n = 3
     marked = ("010", "111")
-    oracle = compile_phase_oracle(n, marked, OracleStyle.MCX_ANCILLA)
+    oracle = grover_ops(GroverSpec(n, marked, 1, OracleStyle.MCX_ANCILLA), "2.")
     assert oracle.n_qubits == n + 1
     data = random_state(n)
     full = StateVector(n + 1, np.kron(data.amps, ket("m").amps))
@@ -208,24 +205,24 @@ def test_mcx_oracle_phase_kickback():
 
 
 def test_mcz_oracle_needs_two_qubits():
-    with pytest.raises(ValueError):
-        compile_phase_oracle(1, ("1",), OracleStyle.MCZ_DIRECT)
+    with pytest.raises(SpecError, match="at least 2 data qubits"):
+        grover_ops(GroverSpec(1, ("1",), 0, OracleStyle.MCZ_DIRECT), "2.")
 
 
 def test_diffuser_matrix():
     for n in (2, 3, 4):
-        dense = dense_unitary(compile_diffuser(n))
+        dense = dense_unitary(grover_ops(GroverSpec(n, ("0" * n,), 1), "3."))
         dim = 1 << n
         u = np.full(dim, 1 / np.sqrt(dim))
         expected = -(2 * np.outer(u, u) - np.eye(dim))
         assert np.allclose(dense, expected, atol=1e-12)
     with pytest.raises(ValueError):
-        compile_diffuser(1)
+        grover_ops(GroverSpec(1, ("0",), 0), "3.")
 
 
 def test_diffuser_eigenvectors():
     n = 3
-    circuit = compile_diffuser(n)
+    circuit = grover_ops(GroverSpec(n, ("0" * n,), 1), "3.")
     uniform = ket("p" * n)
     assert np.allclose(run(circuit, uniform).amps, -uniform.amps, atol=1e-12)
     # anything orthogonal to the uniform state picks up +1
@@ -273,9 +270,9 @@ def test_build_k0_is_preparation_only():
 
 
 def test_run_initial_width_mismatch():
-    circuit = compile_diffuser(3)
+    circuit = grover_ops(GroverSpec(3, ("000",), 1), "3.")
     with pytest.raises(ValueError):
-        run(circuit, zero_state(2))
+        run(circuit, ket("00"))
 
 
 def test_run_matches_dense_unitary():
@@ -297,9 +294,8 @@ def test_dense_unitary_width_bound():
 
 def test_grover_iteration_composes():
     spec = GroverSpec(3, ("101",), 2)
-    stepwise = run(
-        grover_iteration(spec), run(grover_iteration(spec), run(build_grover_circuit(GroverSpec(3, ("101",), 0))))
-    )
+    block = grover_ops(spec)
+    stepwise = run(block, run(block, run(build_grover_circuit(replace(spec, iterations=0)))))
     direct = run(build_grover_circuit(spec))
     assert np.allclose(stepwise.amps, direct.amps, atol=1e-12)
 
@@ -320,10 +316,11 @@ def test_single_builder_views_agree(case):
     marked = tuple(format(i, f"0{n}b") for i in indices)
     spec = GroverSpec(n, marked, k, style)
     prep = build_grover_circuit(GroverSpec(n, marked, 0, style)).ops
-    block = grover_iteration(spec).ops
+    block = grover_ops(spec).ops
     assert build_grover_circuit(spec).ops == prep + block * k
-    oracle = compile_phase_oracle(n, marked, style).ops
-    assert block == oracle + compile_diffuser(n).ops
+    oracle = grover_ops(spec, "2.").ops
+    # the diffuser depends on neither the marked strings nor the style
+    assert block == oracle + grover_ops(GroverSpec(n, ("0" * n,), 1), "3.").ops
     labels = grover_step_labels(spec)
     assert len(labels) == len(prep) + k * len(block)
     for i, label in enumerate(labels[len(prep):]):
@@ -439,7 +436,7 @@ def test_run_in_slices_matches_one_run(circuit, data):
 @given(circuits())
 @settings(max_examples=100, deadline=None)
 def test_run_default_start_is_zero_state(circuit):
-    assert np.array_equal(run(circuit).amps, run(circuit, zero_state(circuit.n_qubits)).amps)
+    assert np.array_equal(run(circuit).amps, run(circuit, ket("0" * circuit.n_qubits)).amps)
 
 
 def test_run_default_start_holds_one_state():

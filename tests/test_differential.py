@@ -42,28 +42,20 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import grover_ops
 from grover_kit import circuit, cli
-from grover_kit.circuit import (
-    GroverSpec,
-    OracleStyle,
-    build_grover_circuit,
-    dense_unitary,
-    grover_data_state,
-    grover_iteration,
-    run,
-)
+from grover_kit.circuit import build_grover_circuit, dense_unitary, grover_data_state, run
 from grover_kit.geometry import (
     data_state,
-    grover_angles,
     grover_summary,
     iteration_report,
     oblique_coords,
     plane_angle,
     plane_decompose,
-    predicted_success,
     state_summary,
 )
 from grover_kit.sampling import MIN_WALKED_RUN, measure_all, running_sums, sample_grover
+from grover_kit.spec import GroverSpec, OracleStyle, grover_angles, predicted_success
 from grover_kit.statevector import StateVector
 
 MINUS = np.array([1.0, -1.0]) / math.sqrt(2.0)
@@ -155,7 +147,7 @@ def test_fused_matches_dense_unitary(spec):
     prep = dense_unitary(build_grover_circuit(replace(spec, iterations=0)))
     amps = prep[:, 0]  # the preparation applied to |0...0>
     if spec.iterations:
-        block = dense_unitary(grover_iteration(spec))
+        block = dense_unitary(grover_ops(spec))
         for _ in range(spec.iterations):
             amps = block @ amps
     dense = data_state(StateVector(spec.circuit_qubits, amps), spec)

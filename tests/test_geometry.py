@@ -7,22 +7,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import grover_ops
 from grover_kit import cli, geometry
-from grover_kit.circuit import (
-    GroverSpec, OracleStyle, build_grover_circuit, grover_iteration, grover_recurrence, run,
-)
+from grover_kit.circuit import build_grover_circuit, grover_recurrence, run
 from grover_kit.geometry import (
     AncillaFactorizationError,
-    grover_angles,
     iteration_report,
     marked_plane_basis,
     oblique_coords,
-    optimal_iterations,
-    p_each_unmarked,
     plane_angle,
     plane_decompose,
-    predicted_success,
     strip_ancilla,
+)
+from grover_kit.spec import (
+    GroverSpec,
+    OracleStyle,
+    grover_angles,
+    optimal_iterations,
+    p_each_unmarked,
+    predicted_success,
 )
 from grover_kit.statevector import StateVector, ket
 
@@ -126,9 +129,7 @@ def test_plane_decompose_beta_itself():
 
 
 def test_plane_decompose_post_oracle():
-    from grover_kit.circuit import compile_phase_oracle
-
-    oracle = compile_phase_oracle(5, ("10100",), OracleStyle.MCZ_DIRECT)
+    oracle = grover_ops(GroverSpec(5, ("10100",), 1, OracleStyle.MCZ_DIRECT), "2.")
     state = run(oracle, ket("ppppp"))
     coords = plane_decompose(state, ("10100",))
     assert abs(coords.a_marked + 1 / math.sqrt(32)) < 1e-12
@@ -158,7 +159,7 @@ def test_plane_angle_progression():
     theta = grover_angles(3, 1).theta_sin
     spec = GroverSpec(3, ("001",), 0)
     state = run(build_grover_circuit(spec))
-    block = grover_iteration(GroverSpec(3, ("001",), 1))
+    block = grover_ops(spec)
     previous = plane_angle(plane_decompose(state, ("001",)))
     assert abs(previous - theta) < 1e-12
     for _ in range(6):
@@ -373,7 +374,7 @@ def test_class_amplitudes_stay_uniform():
     # likewise all unmarked ones
     spec = GroverSpec(4, ("0011", "1001", "1110"), 0)
     state = run(build_grover_circuit(spec))
-    block = grover_iteration(GroverSpec(4, spec.marked, 1))
+    block = grover_ops(spec)
     marked_idx = [int(b, 2) for b in spec.marked]
     unmarked_idx = [i for i in range(16) if i not in marked_idx]
     for _ in range(8):

@@ -6,16 +6,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from grover_kit import sampling
-from grover_kit.circuit import (
-    GroverSpec,
-    OracleStyle,
-    build_grover_circuit,
-    grover_data_state,
-    run,
-)
-from grover_kit.geometry import predicted_success, strip_ancilla
+from grover_kit.circuit import build_grover_circuit, grover_data_state, run
+from grover_kit.geometry import strip_ancilla
 from grover_kit.sampling import binomial_interval, measure_all
-from grover_kit.statevector import StateVector, index_to_bitstring, ket
+from grover_kit.spec import GroverSpec, OracleStyle, predicted_success
+from grover_kit.statevector import StateVector, ket
 
 
 def final_state(n, marked, k, style=OracleStyle.MCZ_DIRECT):
@@ -156,7 +151,7 @@ def reference_counts(state, shots, seed):
     outcomes = np.searchsorted(cdf, np.random.default_rng(seed).random(shots), side="right")
     n = state.n_qubits
     tallies = np.bincount(outcomes, minlength=1 << n)
-    pairs = [(index_to_bitstring(int(i), n), int(tallies[i])) for i in np.flatnonzero(tallies)]
+    pairs = [(format(int(i), f"0{n}b"), int(tallies[i])) for i in np.flatnonzero(tallies)]
     pairs.sort(key=lambda kv: (-kv[1], kv[0]))
     return dict(pairs)
 

@@ -1,5 +1,6 @@
 """The CLI's fixed cost: one parser per process, and start-up paths that need no numpy."""
 
+import ast
 import contextlib
 import io
 import json
@@ -127,14 +128,12 @@ def test_cold_run_still_simulates():
 
 PUBLIC = {
     "AncillaFactorizationError", "Circuit", "Gate", "GroverAngles", "GroverSpec", "Histogram",
-    "IterationRow", "OracleStyle", "PlaneCoords", "StateVector", "apply_multicontrolled",
-    "apply_single", "binomial_interval", "bitstring_to_index", "build_grover_circuit",
-    "circuit_from_text", "circuit_to_text", "compile_diffuser", "compile_phase_oracle",
+    "IterationRow", "OracleStyle", "PlaneCoords", "StateVector", "binomial_interval",
+    "bitstring_to_index", "build_grover_circuit", "circuit_from_text", "circuit_to_text",
     "dense_unitary", "equal_up_to_global_phase", "grover_angles", "grover_data_state",
-    "grover_iteration", "grover_step_labels", "index_to_bitstring", "inner_product",
-    "iteration_report", "ket", "marked_plane_basis", "measure_all", "oblique_coords",
-    "optimal_iterations", "p_each_unmarked", "plane_angle", "plane_decompose",
-    "predicted_success", "run", "strip_ancilla", "zero_state",
+    "grover_step_labels", "iteration_report", "ket", "marked_plane_basis", "measure_all",
+    "oblique_coords", "optimal_iterations", "p_each_unmarked", "plane_angle", "plane_decompose",
+    "predicted_success", "run", "strip_ancilla",
 }
 
 
@@ -145,6 +144,33 @@ def test_lazy_names_are_the_module_objects():
         assert value.__module__.startswith("grover_kit.")
         assert getattr(sys.modules[value.__module__], name) is value
     assert set(grover_kit.__all__) <= set(dir(grover_kit))
+
+
+def test_readme_quick_start_runs():
+    """The README's library quick start runs as written against the public names."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## Library quick start", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(code, {})
+
+
+def test_each_package_import_is_used():
+    """A module imports from another grover_kit module only the names it uses, so each name
+    has one home: spec names are read from grover_kit.spec, not through a simulation module."""
+    unused = {}
+    for path in sorted((SRC / "grover_kit").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        imported = {
+            alias.asname or alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            and (node.level or node.module.split(".")[0] == "grover_kit")
+            for alias in node.names
+        }
+        if imported - used:
+            unused[path.name] = sorted(imported - used)
+    assert unused == {}
 
 
 def test_lazy_unknown_name_and_star_import():

@@ -5,19 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from grover_kit.circuit import Circuit, Gate, run
 from grover_kit.geometry import oblique_coords
 from grover_kit.statevector import (
     StateVector,
     _apply_multicontrolled_inplace,
     _apply_single_inplace,
-    apply_multicontrolled,
-    apply_single,
     bitstring_to_index,
+    bitstrings,
     equal_up_to_global_phase,
-    index_to_bitstring,
-    inner_product,
     ket,
-    zero_state,
 )
 
 RNG = np.random.default_rng(20240817)
@@ -33,10 +30,10 @@ def test_index_convention():
     # qubit 0 is the leftmost ket character and the most significant index bit
     assert bitstring_to_index("10100") == 20
     assert bitstring_to_index("01") == 1
-    assert index_to_bitstring(20, 5) == "10100"
-    assert index_to_bitstring(1, 2) == "01"
-    for i in range(16):
-        assert bitstring_to_index(index_to_bitstring(i, 4)) == i
+    assert bitstrings(np.array([20, 1]), 5).tolist() == [b"10100", b"00001"]
+    assert bitstrings(np.array([20]), 5, "lsb").tolist() == [b"00101"]
+    for i, bits in enumerate(bitstrings(np.arange(16), 4)):
+        assert bitstring_to_index(bits.decode()) == i
 
 
 def test_index_validation():
@@ -44,21 +41,16 @@ def test_index_validation():
         bitstring_to_index("102")
     with pytest.raises(ValueError):
         bitstring_to_index("")
-    with pytest.raises(ValueError):
-        index_to_bitstring(4, 2)
-    with pytest.raises(ValueError):
-        index_to_bitstring(-1, 2)
 
 
 def test_zero_state():
-    s = zero_state(3)
+    s = ket("000")
     assert s.n_qubits == 3
+    assert s.amps.dtype == np.complex128
     assert s.amps[0] == 1.0
     assert np.all(s.amps[1:] == 0.0)
     with pytest.raises(ValueError):
-        zero_state(0)
-    with pytest.raises(ValueError):
-        zero_state(27)
+        ket("0" * 27)
 
 
 def test_ket_basis_and_superposition():
@@ -93,8 +85,6 @@ def test_statevector_validation():
         StateVector(True, np.array([1.0, 0.0]))
     with pytest.raises(ValueError):
         StateVector(1.0, np.array([1.0, 0.0]))
-    with pytest.raises(ValueError):
-        zero_state(2.0)
 
 
 def test_validation_allocates_no_state_sized_temporary():
@@ -123,31 +113,31 @@ def test_oblique_coords_allocates_no_state_sized_temporary():
 
 
 def test_amps_are_read_only():
-    s = zero_state(2)
+    s = ket("00")
     with pytest.raises(ValueError):
         s.amps[0] = 0.5
 
 
 def test_apply_single_does_not_mutate_input():
-    s = zero_state(1)
-    out = apply_single(s, "H", 0)
+    s = ket("0")
+    out = run(Circuit(1, (Gate("H", 0),)), s)
     assert s.amps[0] == 1.0
     assert np.allclose(out.amps, [1 / np.sqrt(2), 1 / np.sqrt(2)])
 
 
 def test_x_flips_the_msb_for_qubit_zero():
-    s = zero_state(3)
-    out = apply_single(s, "X", 0)
+    s = ket("000")
+    out = run(Circuit(3, (Gate("X", 0),)), s)
     # qubit 0 is the most significant bit: |000> -> |100> = index 4
     assert out.amplitude("100") == 1.0
-    out2 = apply_single(s, "X", 2)
+    out2 = run(Circuit(3, (Gate("X", 2),)), s)
     assert out2.amplitude("001") == 1.0
 
 
 def test_z_phase():
-    s = ket("1")
-    assert apply_single(s, "Z", 0).amplitude("1") == -1.0
-    assert apply_single(ket("0"), "Z", 0).amplitude("0") == 1.0
+    z = Circuit(1, (Gate("Z", 0),))
+    assert run(z, ket("1")).amplitude("1") == -1.0
+    assert run(z, ket("0")).amplitude("0") == 1.0
 
 
 def test_single_qubit_against_dense_kron():
@@ -167,7 +157,7 @@ def test_single_qubit_against_dense_kron():
         for f in factors[1:]:
             dense = np.kron(dense, f)
         expected = dense @ s.amps
-        got = apply_single(s, kind, target).amps
+        got = run(Circuit(n, (Gate(kind, target),)), s).amps
         assert np.allclose(got, expected, atol=1e-12)
 
 
@@ -177,34 +167,22 @@ def test_involutions_and_norm():
         s = random_state(n)
         t = int(RNG.integers(0, n))
         for kind in ("H", "X", "Z"):
-            twice = apply_single(apply_single(s, kind, t), kind, t)
+            twice = run(Circuit(n, (Gate(kind, t),) * 2), s)
             assert np.allclose(twice.amps, s.amps, atol=1e-12)
-        assert np.isclose(np.linalg.norm(apply_single(s, "H", t).amps), 1.0, atol=1e-12)
-
-
-def test_apply_single_validation():
-    s = zero_state(2)
-    with pytest.raises(ValueError):
-        apply_single(s, "Y", 0)
-    with pytest.raises(IndexError):
-        apply_single(s, "H", 2)
-    with pytest.raises(IndexError):
-        apply_single(s, "H", -1)
+        h = run(Circuit(n, (Gate("H", t),)), s)
+        assert np.isclose(np.linalg.norm(h.amps), 1.0, atol=1e-12)
 
 
 def test_mcx_swaps_only_controlled_pairs():
-    s = ket("110")
-    out = apply_multicontrolled(s, "X", (0, 1), 2)
-    assert out.amplitude("111") == 1.0
+    mcx = Circuit(3, (Gate("X", 2, (0, 1)),))
+    assert run(mcx, ket("110")).amplitude("111") == 1.0
     # control not satisfied: untouched
-    s2 = ket("100")
-    out2 = apply_multicontrolled(s2, "X", (0, 1), 2)
-    assert out2.amplitude("100") == 1.0
+    assert run(mcx, ket("100")).amplitude("100") == 1.0
 
 
 def test_mcz_flips_sign_only_when_all_ones():
     s = random_state(3)
-    out = apply_multicontrolled(s, "Z", (0, 1), 2)
+    out = run(Circuit(3, (Gate("Z", 2, (0, 1)),)), s)
     expected = s.amps.copy()
     expected[7] *= -1
     assert np.allclose(out.amps, expected, atol=1e-12)
@@ -218,7 +196,7 @@ def test_mcx_as_permutation():
         controls = tuple(int(q) for q in qubits[:n_controls])
         target = int(qubits[n_controls])
         s = random_state(n)
-        out = apply_multicontrolled(s, "X", controls, target)
+        out = run(Circuit(n, (Gate("X", target, controls),)), s)
         cmask = sum(1 << (n - 1 - c) for c in controls)
         tbit = 1 << (n - 1 - target)
         expected = s.amps.copy()
@@ -226,33 +204,6 @@ def test_mcx_as_permutation():
             if (i & cmask) == cmask:
                 expected[i] = s.amps[i ^ tbit]
         assert np.allclose(out.amps, expected, atol=1e-12)
-
-
-def test_multicontrolled_validation():
-    s = zero_state(3)
-    with pytest.raises(ValueError):
-        apply_multicontrolled(s, "H", (0,), 1)
-    with pytest.raises(ValueError):
-        apply_multicontrolled(s, "X", (), 1)
-    with pytest.raises(ValueError):
-        apply_multicontrolled(s, "X", (0, 0), 1)
-    with pytest.raises(ValueError):
-        apply_multicontrolled(s, "X", (1,), 1)
-    with pytest.raises(IndexError):
-        apply_multicontrolled(s, "X", (3,), 1)
-    with pytest.raises(IndexError):
-        apply_multicontrolled(s, "Z", (0,), 5)
-
-
-def test_inner_product():
-    a = ket("00")
-    b = ket("pp")
-    assert np.isclose(inner_product(a, b), 0.5)
-    x = random_state(3)
-    y = random_state(3)
-    assert np.isclose(inner_product(x, y), np.conj(inner_product(y, x)))
-    with pytest.raises(ValueError):
-        inner_product(ket("0"), ket("00"))
 
 
 def test_equal_up_to_global_phase():
