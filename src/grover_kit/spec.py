@@ -23,8 +23,9 @@ MAX_ITERATIONS = 8192
 # Rows of a sweep table: k = 0..MAX_REPORT_ITERATIONS.
 MAX_REPORT_ITERATIONS = 64
 MAX_SEED = (1 << 64) - 1
-# `sample` holds no float per amplitude, and about 25 bytes per shot (the draws, their
-# outcomes and their run lengths): a 25 MiB tracemalloc peak at n=20 and 2^20 shots. The CLI
+# `sample` holds no float per amplitude: about 150 bytes per marked string (the pieces of its
+# running sum, about 3 per string) and about 25 bytes per shot (the draws, their outcomes and
+# their run lengths), a 25 MiB tracemalloc peak at n=20 and 2^20 shots. The CLI
 # renders a histogram in blocks of rows, so `sample --n 20 --iterations 0 --shots 2^20
 # --format json` (662,466 distinct outcomes) took 0.62-0.91 s with a 105 MiB peak RSS on a
 # 2-vCPU machine.

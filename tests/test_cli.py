@@ -524,10 +524,17 @@ def test_sample_memory_per_amplitude():
     assert peak / (1 << 16) < 12
 
 
-def test_sample_memory_is_constant():
-    # The running sum is kept as pieces, O(m + n) of them for m marked strings at n qubits,
-    # so no 2^n buffer is built: one float64 per amplitude would be 8 MiB at n=20.
-    argv = ["sample", "--n", "20", "--marked", "1" * 20, "--shots", "64", "--format", "json"]
+@pytest.mark.parametrize(
+    "marked",
+    [["1" * 20], [format(i, "020b") for i in range(0, 1 << 20, 1023)]],
+    ids=["one", "spaced"],
+)
+def test_sample_memory_is_constant(marked):
+    # The running sum is kept as pieces, O(m + n) of them for m marked strings at n qubits
+    # however the strings lie, so no 2^n buffer is built: one float64 per amplitude would be
+    # 8 MiB at n=20. The 1,026 strings spaced 1,023 apart, with short unmarked runs between
+    # them, make about 3,100 pieces: a 0.25 MiB peak.
+    argv = ["sample", "--n", "20", "--marked", *marked, "--shots", "64", "--format", "json"]
     with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
         main(argv)  # first-use imports (numpy.random) are not the sampler's memory
     tracemalloc.start()

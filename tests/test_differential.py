@@ -54,7 +54,7 @@ from grover_kit.geometry import (
     plane_decompose,
     state_summary,
 )
-from grover_kit.sampling import MIN_WALKED_RUN, measure_all, running_sums, sample_grover
+from grover_kit.sampling import measure_all, running_sums, sample_grover
 from grover_kit.spec import GroverSpec, OracleStyle, grover_angles, predicted_success
 from grover_kit.statevector import StateVector
 
@@ -278,8 +278,8 @@ def running_sum_cases(draw, max_n: int) -> tuple[int, np.ndarray, float, float]:
     """`grover_case` of a spec with n <= max_n and k <= 64, its q then kept, made 0, made far
     under half an ulp of the sums after a marked index, or moved to a tie in a binade that
     the sums cross. The marked set is random, clustered in a window of 64 indices, evenly
-    spaced with unmarked runs just shorter or just longer than MIN_WALKED_RUN, or a random
-    quarter of the indices at k = 1, where the unmarked amplitude is exactly 0. Every choice
+    spaced with unmarked runs of 0 to 2,047 indices, or a random quarter of the indices at
+    k = 1, where the unmarked amplitude is exactly 0. Every choice
     comes from one drawn seed, so that wide registers and long runs are as common as the
     narrow ones that hypothesis would favour."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32)))
@@ -295,7 +295,7 @@ def running_sum_cases(draw, max_n: int) -> tuple[int, np.ndarray, float, float]:
     elif layout == "clustered" or n < 2:
         marked = np.unique(np.minimum(rng.integers(dim) + rng.integers(0, 64, 32), dim - 1))
     else:
-        gap = MIN_WALKED_RUN + int(rng.integers(-1, 4))  # runs of MIN_WALKED_RUN - 2 .. + 2
+        gap = int(rng.integers(1, 2049))  # adjacent, runs too short to step, and long runs
         marked = np.arange(rng.integers(min(gap, dim)), dim, gap)
     bits = tuple(format(i, f"0{n}b") for i in marked[: dim - 1].tolist())
     dim, marked, q, r = grover_case(GroverSpec(n, bits, k))
@@ -314,16 +314,12 @@ def expand(sums) -> np.ndarray:
     """Every running sum that the pieces hold, in index order."""
     values = np.empty(int(sums.length.sum()))
     end = 0
-    for start, length, first, step, offset in zip(
-        sums.start.tolist(), sums.length.tolist(), sums.first.tolist(), sums.step.tolist(),
-        sums.offset.tolist(),
+    for start, length, first, step in zip(
+        sums.start.tolist(), sums.length.tolist(), sums.first.tolist(), sums.step.tolist()
     ):
         assert start == end
         end = start + length
-        if offset >= 0:
-            values[start:end] = sums.dense[offset:offset + length]
-        else:
-            values[start:end] = first + np.arange(length) * step
+        values[start:end] = first + np.arange(length) * step
     return values
 
 
@@ -346,7 +342,7 @@ def test_running_sums_match_cumsum(case):
 @given(running_sum_cases(max_n=20), st.integers(0, 2**32))
 def test_running_sums_outcomes_match_searchsorted(case, seed):
     """Each draw's outcome against searchsorted over the dense cdf, with draws on and next to
-    random cdf values and each piece's first and last."""
+    random cdf values and each piece's first and last, from a first and a second call."""
     dim, marked, q, r = case
     probs = np.full(dim, q)
     probs[marked] = r
@@ -359,7 +355,9 @@ def test_running_sums_outcomes_match_searchsorted(case, seed):
         (rng.random(1024), cdf[at], np.nextafter(cdf[at], 0.0), np.nextafter(cdf[at], 1.0), [0.0])
     )
     draws = np.sort(draws[draws < 1.0])
-    assert np.array_equal(sums.outcomes(draws), np.searchsorted(cdf, draws, side="right"))
+    want = np.searchsorted(cdf, draws, side="right")
+    assert np.array_equal(sums.outcomes(draws), want)
+    assert np.array_equal(sums.outcomes(draws), want)
 
 
 @pytest.mark.parametrize("command, extra", [("run", []), ("sample", ["--shots", "64"])])
