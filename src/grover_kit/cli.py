@@ -95,8 +95,8 @@ _LAYOUTS = {
 
 
 class Rows(NamedTuple):
-    """A per-outcome listing as columns: the bitstrings (an S<wires> array), each row's
-    position in `values`, and the listing's distinct values, each rounded once."""
+    """A per-outcome listing as columns, rows in their producer's order: the bitstrings (an
+    S<wires> array), each row's position in `values`, and the distinct values, rounded once."""
 
     bits: np.ndarray
     which: np.ndarray
@@ -200,17 +200,17 @@ def _line(key: str, value, precision: int) -> str:
     return f"{key}: {value if isinstance(value, str) else _fmt(value, precision)}"
 
 
-def _rows(values: np.ndarray, n_qubits: int, bit_order: str, convert, indices=None) -> Rows:
+def _rows(values: np.ndarray, n_qubits: int, bit_order: str, convert) -> Rows:
     """The rows of the entries of `values` above the cutoff, in index order, each named by its
-    index or by its entry in `indices`. `convert` rounds each distinct value once: equal floats
-    round alike, and a gate-built state holds a handful of them."""
+    index. `convert` rounds each distinct value once: equal floats round alike, and a
+    gate-built state holds a handful of them."""
     import numpy as np
 
     from grover_kit.statevector import bitstrings
 
     keep = np.flatnonzero(np.abs(values) > AMPLITUDE_CUTOFF)
     distinct, which = np.unique(values[keep], return_inverse=True)
-    bits = bitstrings(keep if indices is None else indices[keep], n_qubits, bit_order)
+    bits = bitstrings(keep, n_qubits, bit_order)
     return Rows(bits, which, [convert(v) for v in distinct.tolist()])
 
 
@@ -314,19 +314,24 @@ def _trace_chunks(trace: list, fmt: str, precision: int) -> Iterator[str]:
         yield head.format_map(step) + lines + foot
 
 
-def _table_chunks(rows: Rows, fields: dict, fmt: str, precision: int) -> Iterator[str]:
-    """A table in `fmt` by `_LAYOUTS`, ranked by descending value, then by the bitstring as
-    displayed, one string per block of rows (json: the list without its brackets). `fields`
-    holds the value's json key, `name`, and what a text line puts around the bitstring,
-    `left` and `right`."""
+def _ranked(rows: Rows) -> np.ndarray:
+    """The table order of `rows`: by descending value, then by the bitstring as displayed."""
     import numpy as np
 
+    return np.lexsort((rows.bits, -np.asarray(rows.values)[rows.which]))
+
+
+def _table_chunks(rows: Rows, order, fields: dict, fmt: str, precision: int) -> Iterator[str]:
+    """A table in `fmt` by `_LAYOUTS`, its rows listed in `order` (row indices, or None for
+    rows already in table order), one string per block of rows (json: the list without its
+    brackets). `fields` holds the value's json key, `name`, and what a text line puts around
+    the bitstring, `left` and `right`."""
     head, prefix, tail, sep, _ = _LAYOUTS["table", fmt]
     tails = [tail.format(value=v, text=_fmt(v, precision), **fields) for v in rows.values]
     ends = _ends(tails, sep)
-    order = np.lexsort((rows.bits, -np.asarray(rows.values)[rows.which]))
-    for start in range(0, len(order), _TABLE_BLOCK):
-        block = order[start:start + _TABLE_BLOCK]
+    for start in range(0, len(rows.bits), _TABLE_BLOCK):
+        block = slice(start, start + _TABLE_BLOCK)
+        block = block if order is None else order[block]
         lines = _join(rows.bits[block], rows.which[block], prefix.format_map(fields), ends, sep)
         yield head.format(comma="," if start else "") + lines
 
@@ -436,11 +441,18 @@ def cmd_sample(args) -> Report:
     spec = _validate_spec_args(args)
     seed = _resolve_seed(args)
     check_shots_and_seed(args.shots, seed)
+    import numpy as np
+
     from grover_kit.sampling import sample_grover
+    from grover_kit.statevector import bitstrings
 
     histogram = sample_grover(spec, args.shots, seed)
-    counts = _rows(histogram.tallies, spec.n_qubits, args.bit_order, int, histogram.outcomes)
-    table = Listing(_table_chunks, counts, {"name": "count", "left": "", "right": "  "})
+    starts = np.diff(histogram.tallies, prepend=0) != 0  # tallies descend: equal ones are a run
+    bits = bitstrings(histogram.outcomes, spec.n_qubits, args.bit_order)
+    counts = Rows(bits, np.cumsum(starts) - 1, histogram.tallies[starts].tolist())
+    # The histogram's ties are in index order, which is the msb display order; lsb re-ranks.
+    order = None if args.bit_order == "msb" else _ranked(counts)
+    table = Listing(_table_chunks, counts, order, {"name": "count", "left": "", "right": "  "})
     lines = [f"shots: {histogram.shots}", f"seed: {histogram.seed}", table]
     return _report(
         "sample", _spec_echo(spec, args), table, lines, [["bitstring", "count"], table],
@@ -478,7 +490,8 @@ def cmd_load(args) -> Report:
     final, trace = _simulate(circuit, lambda: map(op_to_text, circuit.ops), args)
     probs = _rows(final.probabilities(), circuit.n_qubits, args.bit_order,
                   partial(_r, precision=args.precision))
-    table = Listing(_table_chunks, probs, {"name": "p", "left": "p(", "right": "): "})
+    fields = {"name": "p", "left": "p(", "right": "): "}
+    table = Listing(_table_chunks, probs, _ranked(probs), fields)
     lines = [f"source: {source}", f"n: {circuit.n_qubits}", f"ops: {len(circuit)}", table]
     echo = {"source": source, "n": circuit.n_qubits, "bit_order": args.bit_order}
     return _report("load", echo, table, lines, [["bitstring", "p"], table], trace, table)

@@ -751,6 +751,21 @@ def test_sample_renderer_matches_reference(histogram, bit_order, fmt, block):
     assert out.getvalue() == want.getvalue()
 
 
+@pytest.mark.parametrize("bit_order, lexsorts", [("msb", 0), ("lsb", 1)])
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_sample_table_sorts_once(bit_order, lexsorts, fmt):
+    # The histogram is already in descending count order, ties by index: the msb table order.
+    # Only lsb, whose bitstrings read reversed, ranks the rows again; nothing re-sorts the counts.
+    argv = ["sample", "--n", "12", "--marked", "1" * 12, "--iterations", "0", "--shots", "4000",
+            "--seed", "3", "--bit-order", bit_order]
+    args = cli.build_parser().parse_args(argv)
+    with mock.patch.object(np, "unique", wraps=np.unique) as unique, \
+            mock.patch.object(np, "lexsort", wraps=np.lexsort) as lexsort, \
+            open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        cli._emit(cli.cmd_sample(args), fmt, 6)
+    assert (unique.call_count, lexsort.call_count) == (0, lexsorts)
+
+
 # Reference load renderer: one dict per outcome, sorted in Python, formatted by `_line` and
 # rendered by json.dumps and csv.writer; a traced load adds the reference trace. The columnar
 # table in cli must match it byte for byte.
