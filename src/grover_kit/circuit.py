@@ -18,18 +18,17 @@ The diffuser on n qubits (H layer, X layer, MCZ, X layer, H layer)
 realizes exactly -(2|u><u| - Id) where u is the uniform superposition; the
 leading minus sign is a global phase per iteration and is kept, not hidden.
 
-Two executors compute Grover states. `run` applies the compiled gates one
-by one; it is the reference, and ``run --trace``, ``load`` and
-`dense_unitary` use it, because a trace reports the state after each
-gate-level step. `grover_data_state` computes the data register of a spec
-with no gates at all: the state keeps one value on the marked strings and
-one on the rest, so each iteration is a few scalar operations of
-`grover_recurrence`, and the state is written once at the end. The
-commands write no state from it: untraced ``run`` reads its plane
-summary and ``sample`` its distribution from `grover_pair`, and ``sweep``
-reads the recurrence row by row. tests/test_differential.py holds the two
-paths, the dense matrices, the closed form and exact rationals together
-within tolerances that grow with k.
+Two executors compute Grover states. `run_steps` applies the compiled
+gates one by one to one buffer and yields the state after each step; it is
+the reference, behind ``run --trace`` and ``load``, and `run` is it with
+one step. `grover_data_state` computes the data register with no gates:
+the state keeps one value on the marked strings and one on the rest, so
+each iteration is a few scalar operations of `grover_recurrence`. The
+commands write no state from it: untraced ``run`` and ``sample`` read
+`grover_pair`, and ``sweep`` reads the recurrence row by row.
+`dense_unitary` applies the gates to the identity matrix. The tests in
+tests/test_differential.py hold the two paths, the dense matrices, the
+closed form and exact rationals together within tolerances that grow with k.
 
 Text format (one op per line, ``#`` starts a comment)::
 
@@ -51,7 +50,7 @@ import io
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -133,8 +132,8 @@ Labelled = tuple[tuple[str, Gate], ...]
 def _grover_blocks(spec: GroverSpec) -> tuple[Labelled, Labelled]:
     """The Grover gate sequence as (preparation, one oracle-plus-diffuser block).
 
-    This is the only place that constructs Grover ops, and
-    `build_grover_circuit` and `grover_step_labels` are its only readers. The
+    This is the only place that constructs Grover ops; `build_grover_circuit`,
+    `grover_step_labels` and `_trace_steps` are its only readers. The
     full circuit is the preparation followed by ``spec.iterations`` copies of
     the block; the ops are frozen, so every copy shares the same op objects.
     The oracle alone is the ops labelled "k1 2.", the diffuser alone those
@@ -191,6 +190,14 @@ def grover_step_labels(spec: GroverSpec) -> tuple[str, ...]:
     )
 
 
+def _trace_steps(spec: GroverSpec) -> int:
+    """The runs of equal `grover_step_labels(spec)`, counted in O(m*n) without building the
+    circuit: the "k<i>" prefix keeps the runs of adjacent blocks apart."""
+    prep, block = (len(list(itertools.groupby(label for label, _ in part)))
+                   for part in _grover_blocks(spec))
+    return prep + spec.iterations * block
+
+
 def _apply(amps: np.ndarray, n_qubits: int, op: Gate) -> None:
     """Apply one op in place; `amps` may carry trailing batch axes.
 
@@ -204,27 +211,34 @@ def _apply(amps: np.ndarray, n_qubits: int, op: Gate) -> None:
         _apply_single_inplace(amps, n_qubits, op.kind, op.target)
 
 
-def run(circuit: Circuit, initial: StateVector | None = None) -> StateVector:
-    """Apply every op in order to `initial` (default |0...0> in float64). Exact, no
-    renormalization. The result keeps the dtype of the start: float64 from the default.
-
-    The result is validated on construction, so a norm drift raises instead
-    of propagating. Running consecutive slices of a circuit, each from the
-    previous result, gives amplitudes identical to one run of the whole
-    circuit; that is how intermediate states are observed.
-    """
-    if initial is None:  # built in place, real: every gate is real, so the state stays real
-        amps = np.zeros(1 << circuit.n_qubits)
+def run_steps(
+    circuit: Circuit, ends: Iterable[int], initial: StateVector | None = None
+) -> Iterator[StateVector]:
+    """The state after the first `end` ops for each of the ascending `ends`, the ops applied
+    in order to one buffer: a copy of `initial`, or |0...0> in float64. Each state is a
+    read-only view of the buffer, which the next step overwrites, validated on construction:
+    a norm drift raises at its step, and nothing is renormalized."""
+    n = circuit.n_qubits
+    if initial is None:  # real: every gate is real, so the state stays real
+        amps = np.zeros(1 << n)
         amps[0] = 1.0
-    elif initial.n_qubits != circuit.n_qubits:
-        raise ValueError(
-            f"initial state has {initial.n_qubits} qubits, circuit has {circuit.n_qubits}"
-        )
+    elif initial.n_qubits != n:
+        raise ValueError(f"initial state has {initial.n_qubits} qubits, circuit has {n}")
     else:
         amps = initial.amps.copy()
-    for op in circuit.ops:
-        _apply(amps, circuit.n_qubits, op)
-    return StateVector(circuit.n_qubits, amps, copy=False)
+    done = 0
+    for end in ends:
+        for op in circuit.ops[done:end]:
+            _apply(amps, n, op)
+        done = end
+        amps.flags.writeable = False  # writable again only once the caller asks for more
+        yield StateVector(n, amps.view(), copy=False)
+        amps.flags.writeable = True
+
+
+def run(circuit: Circuit, initial: StateVector | None = None) -> StateVector:
+    """The state after every op, from `initial` in its dtype: `run_steps` with one step."""
+    return next(run_steps(circuit, (len(circuit),), initial))
 
 
 def grover_recurrence(spec: GroverSpec) -> Iterator[tuple[float, float]]:

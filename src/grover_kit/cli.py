@@ -225,16 +225,13 @@ def _ends(tails: list[str], sep: str) -> np.ndarray:
     return table.reshape(len(ends), width)
 
 
-def _join(
-    bits: np.ndarray, which: np.ndarray, prefix: str, tails: list | np.ndarray, sep: str
-) -> str:
-    """Lines that each join `prefix`, a bitstring and the tail of its value, `tails[which]`,
-    with `sep` between them. `tails` is a list of strings, or their `_ends(tails, sep)` when
-    many calls share them. Each line is a row of one uint8 matrix: the prefix, the bitstring,
-    then the value's end, so dropping every 0xFF (and the last `sep`) leaves the text."""
+def _join(bits: np.ndarray, which: np.ndarray, prefix: str, ends: np.ndarray, sep: str) -> str:
+    """Lines that each join `prefix`, a bitstring and the end of its value, `ends[which]`,
+    with `sep` between them; `ends` is `_ends(tails, sep)` of the values' tails. Each line is
+    a row of one uint8 matrix: the prefix, the bitstring, then the value's end, so dropping
+    every 0xFF (and the last `sep`) leaves the text."""
     import numpy as np
 
-    ends = _ends(tails, sep) if isinstance(tails, list) else tails
     head = np.frombuffer(prefix.encode(), dtype=np.uint8)
     start, stop = head.size, head.size + bits.itemsize
     lines = np.empty((len(bits), stop + ends.shape[1]), dtype=np.uint8)
@@ -246,40 +243,39 @@ def _join(
     return str(kept[:kept.size - len(sep.encode())], "utf-8")
 
 
-def _simulate(circuit, labels, args) -> tuple[StateVector, list | None]:
-    """Run `circuit` on |0...0>; with --trace, one slice and one step per run of equal
-    `labels()`: its label, its first and last op, and the `Rows` of its state.
+def _check_trace(steps: int, wires: int) -> None:
+    if steps << wires > MAX_TRACE_AMPLITUDES:
+        raise SpecError(
+            "trace", f"{steps} steps x 2^{wires} amplitudes exceed {MAX_TRACE_AMPLITUDES}"
+        )
+
+
+def _simulate(circuit, labels: Iterable[str], args) -> tuple[StateVector, list]:
+    """Run `circuit` on |0...0>, one step per run of equal `labels`: its label, its first
+    and last op, and the `Rows` of its state.
 
     The steps share two tables, each built once per trace: the bitstrings of every index
     that some step keeps, and the distinct kept amplitudes, each rounded once. A step that
     keeps every amplitude lists the first table whole; each step finds its values' rows in
     the second by a binary search, which holds less at the trace limit than np.unique's
     inverse of every kept amplitude at once."""
-    from grover_kit.circuit import Circuit, run
+    from grover_kit.circuit import run, run_steps
 
-    if not args.trace:
-        return run(circuit), None
     n = circuit.n_qubits
-    steps = [(label, sum(1 for _ in group)) for label, group in itertools.groupby(labels())]
-    if len(steps) << n > MAX_TRACE_AMPLITUDES:
-        raise SpecError(
-            "trace", f"{len(steps)} steps x 2^{n} amplitudes exceed {MAX_TRACE_AMPLITUDES}"
-        )
+    steps = [(label, sum(1 for _ in group)) for label, group in itertools.groupby(labels)]
+    _check_trace(len(steps), n)
     if not steps:
         return run(circuit), []
     import numpy as np
 
     from grover_kit.statevector import bitstrings
 
-    seen = np.zeros(1 << n, dtype=bool)
-    state, kept, first = None, [], 0  # the first slice starts from |0...0>
-    for label, size in steps:
-        last = first + size - 1
-        state = run(Circuit(n, circuit.ops[first:last + 1]), state)
+    seen, kept = np.zeros(1 << n, dtype=bool), []
+    ends = list(itertools.accumulate(size for _, size in steps))
+    for (label, size), end, state in zip(steps, ends, run_steps(circuit, ends)):
         mask = np.abs(state.amps) > AMPLITUDE_CUTOFF
         seen |= mask
-        kept.append((label, (first, last), None if mask.all() else mask, state.amps[mask]))
-        first = last + 1
+        kept.append((label, (end - size, end - 1), None if mask.all() else mask, state.amps[mask]))
     table = bitstrings(np.flatnonzero(seen), n, args.bit_order)
     slot = np.cumsum(seen) - 1  # each seen index's row of `table`
     distinct = np.unique(np.concatenate([amps for *_, amps in kept]))
@@ -349,12 +345,13 @@ def _resolve_seed(args) -> int:
 
 def cmd_run(args) -> Report:
     spec = _validate_spec_args(args)
-    from grover_kit.circuit import build_grover_circuit, grover_step_labels
+    from grover_kit.circuit import _trace_steps, build_grover_circuit, grover_step_labels
     from grover_kit.geometry import data_state, grover_summary, plane_angle, state_summary
 
     if args.trace:  # the trace shows gate-level steps, so only it runs the gates and holds a state
+        _check_trace(_trace_steps(spec), spec.circuit_qubits)
         circuit = build_grover_circuit(spec)
-        final, trace = _simulate(circuit, lambda: grover_step_labels(spec), args)
+        final, trace = _simulate(circuit, grover_step_labels(spec), args)
         plane = state_summary(data_state(final, spec), spec.marked)
     else:
         plane, trace = grover_summary(spec), None
@@ -476,7 +473,7 @@ def cmd_dump(args) -> Report:
 
 
 def cmd_load(args) -> Report:
-    from grover_kit.circuit import circuit_from_text, op_to_text
+    from grover_kit.circuit import circuit_from_text, op_to_text, run
 
     try:  # a read, decode, parse, width or work error; UnicodeDecodeError is a ValueError
         if args.file is None or args.file == "-":
@@ -487,7 +484,10 @@ def cmd_load(args) -> Report:
         circuit = circuit_from_text(text)
     except (OSError, ValueError, IndexError) as err:
         raise SpecError("file", str(err)) from None
-    final, trace = _simulate(circuit, lambda: map(op_to_text, circuit.ops), args)
+    if args.trace:
+        final, trace = _simulate(circuit, map(op_to_text, circuit.ops), args)
+    else:
+        final, trace = run(circuit), None
     probs = _rows(final.probabilities(), circuit.n_qubits, args.bit_order,
                   partial(_r, precision=args.precision))
     fields = {"name": "p", "left": "p(", "right": "): "}

@@ -1,8 +1,8 @@
 """Problem specs, argument checks and the closed form, with no numpy import.
 
 `predict` and the CLI's argument validation need only these, so a process
-that uses nothing else starts without loading numpy. The simulation
-modules import these names from here and re-export them.
+that uses nothing else starts without loading numpy. Each name has its one
+home here: the simulation modules import it, and none re-exports it.
 
 Closed form: with theta_sin = arcsin(sqrt(m/2^n)), the probability of
 landing in the marked set after k iterations is sin^2((2k+1)*theta_sin).

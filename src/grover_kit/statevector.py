@@ -121,7 +121,7 @@ def _apply_gate_inplace(
 
     Axis 0 of `amps` is the amplitude index; trailing axes are a batch.
     `amps` must be C-contiguous so that its ``(2,)*n_qubits`` reshape is a
-    view; `run` and `dense_unitary` both pass such arrays.
+    view; `run_steps` and `dense_unitary` both pass such arrays.
     """
     view = amps.reshape((2,) * n_qubits + amps.shape[1:])
     index = [1 if q in controls else slice(None) for q in range(n_qubits)]

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 from dataclasses import replace
 
@@ -15,8 +16,10 @@ from grover_kit.circuit import (
     circuit_to_text,
     dense_unitary,
     grover_step_labels,
+    _trace_steps,
     op_to_text,
     run,
+    run_steps,
 )
 from grover_kit.geometry import iteration_report
 from grover_kit.sampling import measure_all
@@ -425,12 +428,42 @@ def test_run_in_slices_matches_one_run(circuit, data):
     seed = data.draw(st.integers(0, 2**32))
     initial = random_state(circuit.n_qubits, np.random.default_rng(seed))
     cuts = sorted(data.draw(st.lists(st.integers(0, len(circuit)), max_size=6)))
+    steps = run_steps(circuit, cuts, initial)
     state = initial
-    for first, last in zip([0, *cuts], [*cuts, len(circuit)]):
+    for i, (first, last) in enumerate(zip([0, *cuts], [*cuts, len(circuit)])):
         state = run(Circuit(circuit.n_qubits, circuit.ops[first:last]), state)
         # each slice's result is a valid normalized state
         assert np.isclose(np.linalg.norm(state.amps), 1.0, atol=1e-9)
+        if i < len(cuts):  # and the stepper's state at each cut is the same, bit for bit
+            assert np.array_equal(next(steps).amps, state.amps)
+    assert next(steps, None) is None
     assert np.array_equal(state.amps, run(circuit, initial).amps)
+
+
+def test_run_and_steps_hold_no_writable_array():
+    """A result of `run`, and each step while it is held, reaches no writable array, its
+    buffer included; a step's buffer becomes writable again only for the next step."""
+    def arrays(state):
+        a = state.amps
+        while a is not None:
+            yield a
+            a = a.base
+
+    circuit = build_grover_circuit(GroverSpec(3, ("101",), 1))
+    for state in (run(circuit), run(circuit, ket("0p1")), run(Circuit(3, ()))):
+        assert not any(a.flags.writeable for a in arrays(state))
+    for state in run_steps(circuit, range(len(circuit) + 1)):
+        assert not any(a.flags.writeable for a in arrays(state))
+
+
+@pytest.mark.parametrize("style", list(OracleStyle))
+@pytest.mark.parametrize(
+    "marked", [("11",), ("00", "01", "10"), ("011", "110"), ("0000", "0101", "1111")]
+)
+@pytest.mark.parametrize("k", range(4))
+def test_trace_steps_counts_label_runs(style, marked, k):
+    spec = GroverSpec(len(marked[0]), marked, k, style)
+    assert _trace_steps(spec) == len(list(itertools.groupby(grover_step_labels(spec))))
 
 
 @given(circuits())

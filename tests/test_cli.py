@@ -6,6 +6,7 @@ import io
 import itertools
 import json
 import os
+import time
 import tracemalloc
 from unittest import mock
 
@@ -370,6 +371,7 @@ def test_load_work_limit(capsys, monkeypatch, trace, ops, code):
     monkeypatch.setattr(circuit, "MAX_LOAD_WORK", 2 * (4 + circuit.LOAD_OP_WORK))
     if code:
         monkeypatch.setattr(circuit, "run", no_simulation)
+        monkeypatch.setattr(circuit, "run_steps", no_simulation)
     monkeypatch.setattr("sys.stdin", io.StringIO("# qubits: 2\n" + "H 0\n" * ops))
     got, out, err = run_cli(capsys, "load", *trace)
     assert got == code
@@ -409,15 +411,77 @@ def test_load_work_is_bounded_while_parsing(capsys, monkeypatch):
 
 def test_run_trace_size_limit(capsys, monkeypatch):
     def no_simulation(*_):
-        raise AssertionError("the trace size must be checked before the circuit runs")
+        raise AssertionError("the trace size must be checked before the circuit is built")
 
-    monkeypatch.setattr(circuit, "run", no_simulation)
+    for name in ("build_grover_circuit", "run", "run_steps"):
+        monkeypatch.setattr(circuit, name, no_simulation)
     code, out, err = run_cli(
         capsys, "run", "--n", "17", "--marked", "0" * 17, "--iterations", "1", "--trace"
     )
     assert code == 2
     assert out == ""
     assert err.startswith("error: --trace:")
+
+
+@pytest.mark.parametrize("k", [64, 8192])
+def test_run_trace_refused_before_the_circuit_is_built(capsys, monkeypatch, k):
+    # 1,000 marked strings: k = 8192 would build about 10^8 ops (an estimated 11 GiB) before
+    # the trace size was checked, so building fails the test here instead.
+    def no_build(*_):
+        raise AssertionError("the trace size must be checked before the circuit is built")
+
+    marked = [format(i, "010b") for i in range(1000)]
+    message = "error: --trace: "
+    if k == 64:  # the steps are the runs of equal labels of the whole circuit
+        labels = circuit.grover_step_labels(grover_kit.GroverSpec(10, tuple(marked), k))
+        steps = len(list(itertools.groupby(labels)))
+        message += f"{steps} steps x 2^10 amplitudes exceed 1048576\n"
+    for name in ("build_grover_circuit", "grover_step_labels"):
+        monkeypatch.setattr(circuit, name, no_build)
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "run", "--n", "10", "--marked", *marked, "--iterations", str(k), "--trace"
+    )
+    assert time.perf_counter() - start < 2.0
+    assert (code, out) == (2, "")
+    assert err == message if k == 64 else err.startswith(message)
+
+
+@pytest.mark.parametrize("command", ["run", "load"])
+def test_trace_validates_one_circuit(capsys, monkeypatch, tmp_path, command):
+    """A trace steps through the circuit it was given; it builds no circuit per step."""
+    spec = ["--n", "3", "--marked", "101", "--iterations", "2"]
+    path = tmp_path / "grover.txt"
+    assert main(["dump", *spec, "--out", str(path)]) == 0
+    argv = ["load", "--file", str(path)] if command == "load" else ["run", *spec]
+    with mock.patch.object(
+        circuit.Circuit, "__post_init__", autospec=True, side_effect=circuit.Circuit.__post_init__
+    ) as validate:
+        code, out, _ = run_cli(capsys, *argv, "--trace", "--format", "json")
+    assert code == 0
+    assert len(json.loads(out)["rows"]) > 1
+    assert validate.call_count == 1
+
+
+def test_trace_norm_drift_raises(capsys, monkeypatch):
+    """A kernel that scales the state by 1.01 on its 7th call fails the norm check of that
+    step, the H layer "k1 3.1" that its 8th call ends: the run stops there and exits 1, and
+    nothing is renormalized or printed."""
+    kernel, calls = circuit._apply_single_inplace, []
+
+    def drifting(amps, *args):
+        kernel(amps, *args)
+        calls.append(args)
+        if len(calls) == 7:
+            amps *= 1.01
+
+    monkeypatch.setattr(circuit, "_apply_single_inplace", drifting)
+    code, out, err = run_cli(
+        capsys, "run", "--n", "3", "--marked", "101", "--iterations", "1", "--trace"
+    )
+    assert (code, out, len(calls)) == (1, "", 8)
+    assert err.startswith("internal error: ValueError: state norm ")
+    assert "deviates from 1 by more than" in err
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
@@ -671,7 +735,7 @@ def test_join_matches_str_join(prefix, tails, sep, wires, rows):
     strings = [format(index % (1 << wires), f"0{wires}b") for index, _ in rows]
     picks = [pick % len(tails) for _, pick in rows]
     bits = np.array(strings, dtype=f"S{wires}")
-    got = cli._join(bits, np.array(picks, dtype=np.intp), prefix, tails, sep)
+    got = cli._join(bits, np.array(picks, dtype=np.intp), prefix, cli._ends(tails, sep), sep)
     assert got == sep.join(prefix + b + tails[w] for b, w in zip(strings, picks))
 
 
