@@ -127,13 +127,16 @@ class Circuit:
 
 
 Labelled = tuple[tuple[str, Gate], ...]
+# `_grover_blocks(spec)`. Each function below that takes `blocks` reads the pair its caller
+# built already, so that one command builds it once.
+Blocks = tuple[Labelled, Labelled]
 
 
-def _grover_blocks(spec: GroverSpec) -> tuple[Labelled, Labelled]:
+def _grover_blocks(spec: GroverSpec) -> Blocks:
     """The Grover gate sequence as (preparation, one oracle-plus-diffuser block).
 
     This is the only place that constructs Grover ops; `build_grover_circuit`,
-    `grover_step_labels` and `_trace_steps` are its only readers. The
+    `grover_step_labels`, `_trace_steps` and `_grover_ops` are its only readers. The
     full circuit is the preparation followed by ``spec.iterations`` copies of
     the block; the ops are frozen, so every copy shares the same op objects.
     The oracle alone is the ops labelled "k1 2.", the diffuser alone those
@@ -174,28 +177,34 @@ def _grover_blocks(spec: GroverSpec) -> tuple[Labelled, Labelled]:
     return prep, tuple(block)
 
 
-def build_grover_circuit(spec: GroverSpec) -> Circuit:
+def build_grover_circuit(spec: GroverSpec, blocks: Blocks | None = None) -> Circuit:
     """Preparation, then `spec.iterations` oracle-plus-diffuser blocks."""
-    prep, block = _grover_blocks(spec)
+    prep, block = _grover_blocks(spec) if blocks is None else blocks
     ops = tuple(op for _, op in prep) + tuple(op for _, op in block) * spec.iterations
     return Circuit(spec.circuit_qubits, ops)
 
 
-def grover_step_labels(spec: GroverSpec) -> tuple[str, ...]:
+def grover_step_labels(spec: GroverSpec, blocks: Blocks | None = None) -> tuple[str, ...]:
     """Step label for each op of build_grover_circuit(spec), same order."""
-    prep, block = _grover_blocks(spec)
+    prep, block = _grover_blocks(spec) if blocks is None else blocks
     labels = tuple(label for label, _ in prep)
     return labels + tuple(
         f"k{it} {label}" for it in range(1, spec.iterations + 1) for label, _ in block
     )
 
 
-def _trace_steps(spec: GroverSpec) -> int:
+def _trace_steps(spec: GroverSpec, blocks: Blocks | None = None) -> int:
     """The runs of equal `grover_step_labels(spec)`, counted in O(m*n) without building the
     circuit: the "k<i>" prefix keeps the runs of adjacent blocks apart."""
     prep, block = (len(list(itertools.groupby(label for label, _ in part)))
-                   for part in _grover_blocks(spec))
+                   for part in (_grover_blocks(spec) if blocks is None else blocks))
     return prep + spec.iterations * block
+
+
+def _grover_ops(spec: GroverSpec, blocks: Blocks) -> int:
+    """The ops of build_grover_circuit(spec), counted in O(m*n) without building it."""
+    prep, block = blocks
+    return len(prep) + spec.iterations * len(block)
 
 
 def _apply(amps: np.ndarray, n_qubits: int, op: Gate) -> None:
@@ -325,6 +334,17 @@ def circuit_to_text(circuit: Circuit) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _check_load_work(ops: int, width: int) -> None:
+    """Raise ValueError when running `ops` ops at `width` wires passes MAX_LOAD_WORK, as
+    `circuit_from_text` refuses such a file; a width out of range is the fault to name."""
+    # Past 32 wires one op is over the bound; testing that first keeps 1 << width small.
+    if width > 32 or ops * ((1 << max(width, 0)) + LOAD_OP_WORK) > MAX_LOAD_WORK:
+        check_n_qubits(width)
+        raise ValueError(
+            f"{ops} ops x (2^{width} + {LOAD_OP_WORK}) amplitude updates exceed {MAX_LOAD_WORK}"
+        )
+
+
 def _parse_qubit(token: str) -> int:
     try:
         return int(token)
@@ -375,14 +395,7 @@ def circuit_from_text(text: str) -> Circuit:
             raise ValueError(f"line {lineno}: {exc}") from None
         max_index = max(max_index, *op.qubits)
         ops.append(distinct.setdefault(op, op))
-        width = max_index + 1 if declared_width is None else declared_width
-        # Past 32 wires one op is over the bound; testing that first keeps 1 << width small.
-        if width > 32 or len(ops) * ((1 << max(width, 0)) + LOAD_OP_WORK) > MAX_LOAD_WORK:
-            check_n_qubits(width)  # a width out of range is the fault to name
-            raise ValueError(
-                f"{len(ops)} ops x (2^{width} + {LOAD_OP_WORK}) amplitude updates exceed "
-                f"{MAX_LOAD_WORK}"
-            )
+        _check_load_work(len(ops), max_index + 1 if declared_width is None else declared_width)
     if declared_width is None:
         if max_index < 0:
             raise ValueError("no ops and no '# qubits: N' header, width unknown")

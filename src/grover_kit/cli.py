@@ -91,6 +91,22 @@ _LAYOUTS = {
     ),
     ("table", "csv"): ("", "", ",{value}", "\n", ""),
     ("table", "text"): ("", "{left}", "{right}{text}", "\n", ""),
+    # A sweep is (head, row, sep): the head, then a row per k joined by sep. The head reads
+    # each field's name, a row its value; text columns are {a} and {b} wide, {d} places.
+    ("sweep", "json"): (
+        "", '\n    {{\n      "k": {k},\n      "angle": {angle!r},\n      "p_marked_sim": '
+        '{p_marked_sim!r},\n      "p_marked_formula": {p_marked_formula!r},\n      '
+        '"p_each_unmarked": {p_each_unmarked!r}\n    }}', ",",
+    ),
+    ("sweep", "csv"): (
+        "{k},{angle},{p_marked_sim},{p_marked_formula},{p_each_unmarked}\n",
+        "{k},{angle!r},{p_marked_sim!r},{p_marked_formula!r},{p_each_unmarked!r}", "\n",
+    ),
+    ("sweep", "text"): (
+        "  k  {angle:>{a}}  {p_marked_sim:>{b}}  {p_marked_formula:>{b}}  {p_each_unmarked:>{b}}\n",
+        "{k:>3}  {angle:>{a}.{d}f}  {p_marked_sim:>{b}.{d}f}  {p_marked_formula:>{b}.{d}f}  "
+        "{p_each_unmarked:>{b}.{d}f}", "\n",
+    ),
 }
 
 
@@ -110,9 +126,9 @@ class Listing(partial):
 
 
 class Report(NamedTuple):
-    """One command's output, built once and printed by `_emit` in the chosen format: the
-    json document, the csv rows with the header first, and the text lines. Each may hold
-    `Listing`s in place of its per-outcome rows."""
+    """One command's output, printed by `_emit` in the chosen format: the json document, the
+    csv rows with the header first, and the text lines. Each may hold `Listing`s, which render
+    only in the format printed, in place of its rows or lines."""
 
     doc: dict | None
     table: list
@@ -123,53 +139,40 @@ def _oriented(bits: str, bit_order: str) -> str:
     return bits if bit_order == "msb" else bits[::-1]
 
 
-def _validate_spec_args(args) -> GroverSpec:
-    """The spec the flags describe, with marked strings in the internal msb-first order.
-
-    Validity does not depend on the bit order, so the strings are checked as
-    given and error messages quote them as typed.
-    """
-    iterations = getattr(args, "iterations", 0)
+def _validate_spec_args(args, iterations: int) -> GroverSpec:
+    """The spec the flags describe, with marked strings in the internal msb-first order. The
+    strings are checked as typed, as errors quote them; only --bit-order lsb then builds a
+    second spec, of the strings reversed."""
     spec = GroverSpec(args.n, tuple(args.marked), iterations, _STYLE_FLAGS[args.style])
-    bit_order = getattr(args, "bit_order", "msb")
-    return replace(spec, marked=tuple(_oriented(bits, bit_order) for bits in spec.marked))
+    if getattr(args, "bit_order", "msb") == "msb":
+        return spec
+    return replace(spec, marked=tuple(bits[::-1] for bits in spec.marked))
 
 
 def _spec_echo(spec: GroverSpec, args) -> dict:
-    return {
-        "n": spec.n_qubits,
-        "marked": [_oriented(b, args.bit_order) for b in spec.marked],
-        "iterations": spec.iterations,
-        "style": args.style,
-        "bit_order": args.bit_order,
-    }
+    marked = [_oriented(b, args.bit_order) for b in spec.marked]
+    return {"n": spec.n_qubits, "marked": marked, "iterations": spec.iterations,
+            "style": args.style, "bit_order": args.bit_order}
 
 
 def _report(
-    command: str, echo: dict, rows: list | Listing, lines: list, table: list | None = None,
+    command: str, echo: dict, rows: list | Listing, lines: list, table: list,
     trace: list | None = None, summary=None, **extra,
 ) -> Report:
-    """A command's report. `table` defaults to `rows` read as flat records that all share the
-    first one's keys. A traced report holds the steps in place of the rows, with `summary`,
-    the untraced rows, under "summary" in json, and a blank line before the steps in text."""
-    doc = {
-        "command": command,
-        "versions": {"tool": __version__, "format": FORMAT_VERSION},
-        "spec": echo,
-        "rows": rows,
-        **extra,
-    }
+    """A command's report. A traced report holds the steps in place of the rows, with
+    `summary`, the untraced rows, under "summary" in json, and a blank line before the steps
+    in text."""
+    versions = {"tool": __version__, "format": FORMAT_VERSION}
+    doc = {"command": command, "versions": versions, "spec": echo, "rows": rows, **extra}
     if trace is not None:
         steps = Listing(_trace_chunks, trace)
         doc.update(rows=steps if trace else [], summary=summary)
         return Report(doc, [["step", "label", "bitstring", "re", "im"], steps], [*lines, "", steps])
-    if table is None:
-        table = [list(rows[0]), *(list(row.values()) for row in rows)]
     return Report(doc, table, lines)
 
 
 def _flatten(mapping: dict, pattern: str = "{}") -> Iterable[tuple[str, object]]:
-    """(name, value) leaves of a nested summary, in order, named as in run's CSV."""
+    """(name, value) leaves of a nested summary, in order, named as in run's csv."""
     for key, value in mapping.items():
         name = pattern.format(key)
         if isinstance(value, dict):
@@ -245,9 +248,8 @@ def _join(bits: np.ndarray, which: np.ndarray, prefix: str, ends: np.ndarray, se
 
 def _check_trace(steps: int, wires: int) -> None:
     if steps << wires > MAX_TRACE_AMPLITUDES:
-        raise SpecError(
-            "trace", f"{steps} steps x 2^{wires} amplitudes exceed {MAX_TRACE_AMPLITUDES}"
-        )
+        message = f"{steps} steps x 2^{wires} amplitudes exceed {MAX_TRACE_AMPLITUDES}"
+        raise SpecError("trace", message)
 
 
 def _simulate(circuit, labels: Iterable[str], args) -> tuple[StateVector, list]:
@@ -298,11 +300,9 @@ def _trace_chunks(trace: list, fmt: str, precision: int) -> Iterator[str]:
             values = rows.values
             tails = [tail.format(**v, text=_fmt(v, precision)) for v in values]
             ends = _ends(tails, sep)
-        step = {
-            "number": number, "label": label, "first": first, "last": last,
-            "span": f"op {first}" if first == last else f"ops {first}..{last}",
-            "comma": "," if number else "", "json_label": json.dumps(label),
-        }
+        step = {"number": number, "label": label, "first": first, "last": last,
+                "span": f"op {first}" if first == last else f"ops {first}..{last}",
+                "comma": "," if number else "", "json_label": json.dumps(label)}
         if fmt == "csv":  # only the csv layout reads csv_row
             csv.writer(line := io.StringIO(), lineterminator="\n").writerow([number, label, ""])
             step["csv_row"] = line.getvalue()[:-1]
@@ -343,15 +343,33 @@ def _resolve_seed(args) -> int:
         raise SpecError("seed", f"not an integer: {raw!r}") from None
 
 
+def _summary_lines(echo: dict, summary: dict, fmt: str, precision: int) -> Iterable[str]:
+    """run's summary in `fmt`: the csv rows, `quantity,value` and then each leaf of the json
+    summary in order, a float by its repr as csv.writer prints it; or the text lines."""
+    if fmt == "csv":
+        return [f"{k},{v}" for k, v in [("quantity", "value"), *_flatten(summary)]]
+    p, scalars = precision, ("theta_sin", "theta_cos", "p_marked_total", "p_marked_formula")
+    head = {**echo, "marked": " ".join(echo["marked"])}
+    return [
+        *(f"{key}: {head[key]}" for key in ("n", "marked", "iterations", "style")),
+        *(_line(key, summary[key], p) for key in scalars),
+        *(_line(f"p({bits})", value, p) for bits, value in summary["p_per_marked"].items()),
+        *(_line(key, value, p) for key, value in summary["plane"].items()),
+        _line("angle", summary["angle"], p),
+        "oblique: " + " ".join(f"{key}={_fmt(z, p)}" for key, z in summary["oblique"].items()),
+    ]
+
+
 def cmd_run(args) -> Report:
-    spec = _validate_spec_args(args)
-    from grover_kit.circuit import _trace_steps, build_grover_circuit, grover_step_labels
+    spec = _validate_spec_args(args, args.iterations)
+    from grover_kit import circuit
     from grover_kit.geometry import data_state, grover_summary, plane_angle, state_summary
 
     if args.trace:  # the trace shows gate-level steps, so only it runs the gates and holds a state
-        _check_trace(_trace_steps(spec), spec.circuit_qubits)
-        circuit = build_grover_circuit(spec)
-        final, trace = _simulate(circuit, grover_step_labels(spec), args)
+        blocks = circuit._grover_blocks(spec)
+        _check_trace(circuit._trace_steps(spec, blocks), spec.circuit_qubits)
+        gates = circuit.build_grover_circuit(spec, blocks)
+        final, trace = _simulate(gates, circuit.grover_step_labels(spec, blocks), args)
         plane = state_summary(data_state(final, spec), spec.marked)
     else:
         plane, trace = grover_summary(spec), None
@@ -361,55 +379,39 @@ def cmd_run(args) -> Report:
     per_marked = {_oriented(b, args.bit_order): _r(q, p) for b, q in zip(spec.marked, probs)}
     summary = {
         "p_marked_total": _r(sum(probs), p),
-        "p_marked_formula": _r(
-            predicted_success(spec.n_qubits, spec.n_marked, spec.iterations), p
-        ),
+        "p_marked_formula": _r(predicted_success(spec.n_qubits, spec.n_marked, spec.iterations), p),
         "p_per_marked": per_marked,
-        "theta_sin": _r(angles.theta_sin, p),
-        "theta_cos": _r(angles.theta_cos, p),
-        "plane": {
-            "a_marked": _complex_entry(coords.a_marked, p),
-            "a_unmarked": _complex_entry(coords.a_unmarked, p),
-            "residual_norm": _r(coords.residual_norm, p),
-        },
+        "theta_sin": _r(angles.theta_sin, p), "theta_cos": _r(angles.theta_cos, p),
+        "plane": {"a_marked": _complex_entry(coords.a_marked, p),
+                  "a_unmarked": _complex_entry(coords.a_unmarked, p),
+                  "residual_norm": _r(coords.residual_norm, p)},
         "angle": _r(plane_angle(coords), p),
         "oblique": {"c_p": _complex_entry(c_p, p), "c_r": _complex_entry(c_r, p)},
     }
-    scalars = ("theta_sin", "theta_cos", "p_marked_total", "p_marked_formula")
-    lines = [
-        f"n: {spec.n_qubits}",
-        f"marked: {' '.join(per_marked)}",
-        f"iterations: {spec.iterations}",
-        f"style: {args.style}",
-        *(_line(key, summary[key], p) for key in scalars),
-        *(_line(f"p({bits})", value, p) for bits, value in per_marked.items()),
-        *(_line(key, value, p) for key, value in summary["plane"].items()),
-        _line("angle", summary["angle"], p),
-        "oblique: " + " ".join(f"{key}={_fmt(z, p)}" for key, z in summary["oblique"].items()),
-    ]
-    table = [["quantity", "value"], *(list(leaf) for leaf in _flatten(summary))]
-    return _report("run", _spec_echo(spec, args), [summary], lines, table, trace, summary)
+    echo = _spec_echo(spec, args)
+    lines = Listing(_summary_lines, echo, summary)  # built only in the format printed
+    return _report("run", echo, [summary], [lines], [lines], trace, summary)
+
+
+def _sweep_chunks(rows: list, fmt: str, precision: int) -> Iterator[str]:
+    """The sweep table in `fmt` by `_LAYOUTS`, as one string (json: "rows" without its
+    brackets). json and csv print each value rounded, by its repr, as json.dumps and
+    csv.writer print a float; text prints it unrounded, to `precision` places."""
+    head, row, sep = _LAYOUTS["sweep", fmt]
+    widths = {"a": precision + 4, "b": precision + 6, "d": precision}
+    records = [vars(r) for r in rows]
+    if fmt != "text":
+        records = [{k: v if k == "k" else _r(v, precision) for k, v in r.items()} for r in records]
+    head = head.format(**{name: name for name in records[0]}, **widths)
+    yield head + sep.join(row.format(**r, **widths) for r in records)
 
 
 def cmd_sweep(args) -> Report:
-    spec = _validate_spec_args(args)
-    check_k_max(spec, args.kmax)
+    spec = check_k_max(_validate_spec_args(args, 0), args.kmax)  # at k_max iterations
     from grover_kit.geometry import iteration_report
 
-    rows = iteration_report(spec, args.kmax)
-    p = args.precision
-    records = [
-        {key: value if key == "k" else _r(value, p) for key, value in vars(row).items()}
-        for row in rows
-    ]
-    fields = list(records[0])[1:]
-    widths = (p + 4, p + 6, p + 6, p + 6)
-    lines = [f"{'k':>3}  " + "  ".join(f"{f:>{w}}" for f, w in zip(fields, widths))]
-    lines += [
-        f"{row.k:>3}  " + "  ".join(f"{getattr(row, f):>{w}.{p}f}" for f, w in zip(fields, widths))
-        for row in rows
-    ]
-    return _report("sweep", _spec_echo(replace(spec, iterations=args.kmax), args), records, lines)
+    rows = Listing(_sweep_chunks, iteration_report(spec, args.kmax))
+    return _report("sweep", _spec_echo(spec, args), rows, [rows], [rows])
 
 
 def cmd_predict(args) -> Report:
@@ -418,12 +420,8 @@ def cmd_predict(args) -> Report:
     k = optimal_iterations(args.n, args.m) if args.optimal else args.iterations
     p = args.precision
     result = {
-        "n": args.n,
-        "m": args.m,
-        "iterations": k,
-        "optimal": bool(args.optimal),
-        "theta_sin": _r(angles.theta_sin, p),
-        "theta_cos": _r(angles.theta_cos, p),
+        "n": args.n, "m": args.m, "iterations": k, "optimal": bool(args.optimal),
+        "theta_sin": _r(angles.theta_sin, p), "theta_cos": _r(angles.theta_cos, p),
         "p_marked_formula": _r(predicted_success(args.n, args.m, k), p),
         "p_each_unmarked": _r(p_each_unmarked(args.n, args.m, k), p),
     }
@@ -435,7 +433,7 @@ def cmd_predict(args) -> Report:
 
 
 def cmd_sample(args) -> Report:
-    spec = _validate_spec_args(args)
+    spec = _validate_spec_args(args, args.iterations)
     seed = _resolve_seed(args)
     check_shots_and_seed(args.shots, seed)
     import numpy as np
@@ -458,10 +456,15 @@ def cmd_sample(args) -> Report:
 
 
 def cmd_dump(args) -> Report:
-    spec = _validate_spec_args(args)
-    from grover_kit.circuit import build_grover_circuit, circuit_to_text
+    spec = _validate_spec_args(args, args.iterations)
+    from grover_kit import circuit
 
-    text = circuit_to_text(build_grover_circuit(spec))
+    blocks = circuit._grover_blocks(spec)
+    try:  # counted before it is built, so that every dumped circuit loads
+        circuit._check_load_work(circuit._grover_ops(spec, blocks), spec.circuit_qubits)
+    except ValueError as err:
+        raise SpecError("iterations", f"{err}, so load would refuse it") from None
+    text = circuit.circuit_to_text(circuit.build_grover_circuit(spec, blocks))
     if args.out is None or args.out == "-":
         return Report(None, [], text.splitlines())
     try:
@@ -498,13 +501,11 @@ def cmd_load(args) -> Report:
 
 
 def _emit(report: Report, fmt: str, precision: int) -> None:
-    """Print a command's report as json, csv or text: the one place --format is read.
-
-    A `Listing` is written one chunk at a time where it stands, so only one chunk's lines
-    are held at once. In json it is spliced into the frame that json.dumps renders with its
-    key's list empty: json.dumps escapes newlines in strings, so a newline and a 2-space
-    indent only ever start a top-level key.
-    """
+    """Print a command's report as json, csv or text: the one place --format is read. A
+    `Listing` is rendered only here, in that format, one chunk at a time where it stands. In
+    json it is spliced into the frame that json.dumps renders with its key's list empty:
+    json.dumps escapes newlines in strings, so a newline and a 2-space indent only ever start
+    a top-level key."""
     if fmt == "json":
         listed = {key: value for key, value in report.doc.items() if isinstance(value, Listing)}
         text = json.dumps({**report.doc, **dict.fromkeys(listed, [])}, indent=2)
@@ -534,17 +535,14 @@ def build_parser() -> argparse.ArgumentParser:
     output.add_argument("--bit-order", choices=("msb", "lsb"), default="msb")
     spec = argparse.ArgumentParser(add_help=False)
     spec.add_argument("--n", type=int, required=True, help="data qubit count")
-    spec.add_argument(
-        "--marked", nargs="+", required=True, metavar="BITS", help="marked bitstrings"
-    )
+    spec.add_argument("--marked", nargs="+", required=True, metavar="BITS",
+                      help="marked bitstrings")
     spec.add_argument("--style", choices=tuple(_STYLE_FLAGS), default="mcz")
     iterations = argparse.ArgumentParser(add_help=False)
     iterations.add_argument("--iterations", type=int, default=1)
 
-    parser = argparse.ArgumentParser(
-        prog="grover-kit",
-        description="Simulate and analyze Grover amplitude amplification circuits.",
-    )
+    description = "Simulate and analyze Grover amplitude amplification circuits."
+    parser = argparse.ArgumentParser(prog="grover-kit", description=description)
     parser.add_argument("--version", action="version", version=f"grover-kit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
     cmds = {}

@@ -121,12 +121,13 @@ class GroverSpec:
         return self.n_qubits + extra
 
 
-def check_k_max(spec: GroverSpec, k_max) -> None:
-    """Raise SpecError unless `spec` can be swept to row `k_max`: "k_max" unless it is in
-    0..MAX_REPORT_ITERATIONS, then as GroverSpec refuses k_max iterations (n=1 refuses k >= 1)."""
+def check_k_max(spec: GroverSpec, k_max) -> GroverSpec:
+    """`spec` at `k_max` iterations, if it can be swept to row `k_max`; else raise SpecError:
+    "k_max" unless it is in 0..MAX_REPORT_ITERATIONS, then as GroverSpec refuses k_max
+    iterations (n=1 refuses k >= 1). A spec already at k_max iterations is returned as it is."""
     if not 0 <= k_max <= MAX_REPORT_ITERATIONS:
         raise SpecError("k_max", f"k_max must be in 0..{MAX_REPORT_ITERATIONS}, got {k_max}")
-    replace(spec, iterations=k_max)
+    return spec if spec.iterations == k_max else replace(spec, iterations=k_max)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import csv
+import dataclasses
 import functools
 import io
 import itertools
@@ -337,6 +338,85 @@ def test_dump_to_stdout(capsys):
     assert lines[2:] == ["H 0", "H 1", "H 2"]
 
 
+def _largest_dumped_k(spec):
+    """The largest k whose circuit `load` reads: ops x (2^width + LOAD_OP_WORK) within
+    MAX_LOAD_WORK, the ops counted from the circuits at k = 0 and k = 1."""
+    prep = len(circuit.build_grover_circuit(dataclasses.replace(spec, iterations=0)))
+    block = len(circuit.build_grover_circuit(dataclasses.replace(spec, iterations=1))) - prep
+    ops = circuit.MAX_LOAD_WORK // ((1 << spec.circuit_qubits) + circuit.LOAD_OP_WORK)
+    return (ops - prep) // block
+
+
+@pytest.mark.parametrize("n, marked, style", [
+    (26, ["1" * 26], "mcz"),
+    (25, ["0" * 25], "mcx-ancilla"),
+    (20, ["1" * 20], "mcz"),
+    (18, ["010101010101010101", "111111111111111111"], "mcx-ancilla"),
+])
+def test_dump_refuses_what_load_refuses(capsys, n, marked, style):
+    """At the largest k that fits MAX_LOAD_WORK, the dumped text parses; one more iteration is
+    refused by dump, naming --iterations, and its circuit text by the parser."""
+    spec = grover_kit.GroverSpec(n, tuple(marked), 0, cli._STYLE_FLAGS[style])
+    k = _largest_dumped_k(spec)
+    argv = ["dump", "--n", str(n), "--marked", *marked, "--style", style, "--iterations"]
+    code, out, _ = run_cli(capsys, *argv, str(k))
+    assert code == 0
+    assert circuit.circuit_from_text(out) == circuit.build_grover_circuit(
+        dataclasses.replace(spec, iterations=k)
+    )
+    code, out, err = run_cli(capsys, *argv, str(k + 1))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --iterations: ")
+    assert err.endswith(", so load would refuse it\n")
+    text = circuit.circuit_to_text(
+        circuit.build_grover_circuit(dataclasses.replace(spec, iterations=k + 1))
+    )
+    with pytest.raises(ValueError, match="amplitude updates exceed"):
+        circuit.circuit_from_text(text)
+
+
+@pytest.mark.parametrize("style", ["mcz", "mcx-ancilla"])
+def test_dump_load_round_trip_at_the_work_bound(capsys, monkeypatch, tmp_path, style):
+    # With the bound patched to 200 ops' work, the circuit at the largest accepted k loads, and
+    # its marked probabilities, summed over the ancilla, are run's; k + 1 is refused by dump.
+    spec_flags = ["--n", "4", "--marked", "0110", "1011", "--style", style]
+    spec = grover_kit.GroverSpec(4, ("0110", "1011"), 0, cli._STYLE_FLAGS[style])
+    wires = spec.circuit_qubits
+    monkeypatch.setattr(circuit, "MAX_LOAD_WORK", 200 * ((1 << wires) + circuit.LOAD_OP_WORK))
+    k = _largest_dumped_k(spec)
+    assert k >= 3
+    path = tmp_path / "grover.txt"
+    assert run_cli(capsys, "dump", *spec_flags, "--iterations", str(k), "--out", str(path))[0] == 0
+    code, out, _ = run_cli(capsys, "load", "--file", str(path), "--format", "json")
+    assert code == 0
+    loaded = {}
+    for row in json.loads(out)["rows"]:
+        loaded[row["bitstring"][:4]] = loaded.get(row["bitstring"][:4], 0.0) + row["p"]
+    code, out, _ = run_cli(capsys, "run", *spec_flags, "--iterations", str(k), "--format", "json")
+    for bits, p in json.loads(out)["rows"][0]["p_per_marked"].items():
+        assert loaded[bits] == pytest.approx(p, abs=2e-6)
+    code, out, err = run_cli(capsys, "dump", *spec_flags, "--iterations", str(k + 1))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --iterations:")
+
+
+def test_dump_refused_before_it_builds(capsys, monkeypatch):
+    # 100 marked strings at n = 10 and k = 8192: about 9 M ops, which took 7.2 s and 241 MiB
+    # to write at k = 2048. The ops are counted from one block, so nothing is built.
+    def no_build(*_):
+        raise AssertionError("dump must count its ops before it builds the circuit")
+
+    monkeypatch.setattr(circuit, "build_grover_circuit", no_build)
+    marked = [format(i, "010b") for i in range(0, 1000, 10)]
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "dump", "--n", "10", "--marked", *marked, "--iterations", "8192"
+    )
+    assert time.perf_counter() - start < 2.0
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --iterations: ")
+
+
 def test_load_from_stdin(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO("H 0\n"))
     code, out, _ = run_cli(capsys, "load")
@@ -556,6 +636,61 @@ def test_untraced_run_and_sample_hold_no_state(capsys, monkeypatch):
     assert run_cli(capsys, "sample", *spec, "--shots", "100")[0] == 0
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--n", "4", "--marked", "0010", "1100", "--iterations", "1", "--trace"],
+    ["dump", "--n", "4", "--marked", "0010", "1100", "--iterations", "3"],
+])
+def test_grover_blocks_built_once(capsys, argv):
+    """A traced run counts its steps, builds its circuit and labels its ops from one
+    `_grover_blocks`, and dump counts and builds its ops from one."""
+    with mock.patch.object(circuit, "_grover_blocks", wraps=circuit._grover_blocks) as blocks:
+        assert run_cli(capsys, *argv)[0] == 0
+    assert blocks.call_count == 1
+
+
+@pytest.mark.parametrize("argv, specs", [
+    (["run", "--iterations", "2"], 1),
+    (["run", "--iterations", "2", "--format", "json"], 1),
+    (["run", "--iterations", "2", "--bit-order", "lsb"], 2),  # the marked strings reversed
+    (["run", "--iterations", "2", "--trace"], 2),  # the plane analysis checks the marked strings
+    (["sweep", "--kmax", "5"], 2),  # the spec, then at k_max iterations
+    (["sweep", "--kmax", "0", "--format", "csv"], 1),  # a spec at k = 0 is at k_max already
+    (["sample", "--iterations", "2", "--shots", "10"], 1),
+    (["dump", "--iterations", "2"], 1),
+])
+def test_spec_validations_per_command(capsys, argv, specs):
+    with mock.patch.object(
+        grover_kit.GroverSpec, "__post_init__", autospec=True,
+        side_effect=grover_kit.GroverSpec.__post_init__,
+    ) as validate:
+        assert run_cli(capsys, *argv, "--n", "4", "--marked", "0010", "1100")[0] == 0
+    assert validate.call_count == specs
+
+
+@pytest.mark.parametrize("argv", [["sweep", "--kmax", "64"], ["sweep", "--kmax", "0"]])
+def test_sweep_rows_skip_json_dumps(capsys, argv):
+    """json.dumps renders the sweep document with "rows" empty; the row template fills it."""
+    argv = [*argv, "--n", "8", "--marked", "00010010", "--format", "json"]
+    with mock.patch.object(json, "dumps", wraps=json.dumps) as dumps:
+        code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert [call.args[0]["rows"] for call in dumps.call_args_list] == [[]]
+    assert [row["k"] for row in json.loads(out)["rows"]] == list(range(int(argv[2]) + 1))
+
+
+@pytest.mark.parametrize("fmt, flattens", [("text", False), ("json", False), ("csv", True)])
+def test_run_flattens_only_for_csv(capsys, monkeypatch, fmt, flattens):
+    """run builds its csv rows only when it prints csv, and its text lines only for text."""
+    calls = []
+    flatten = cli._flatten
+    monkeypatch.setattr(cli, "_flatten", lambda *a: calls.append(a) or flatten(*a))
+    argv = ["run", "--n", "4", "--marked", "0010", "--iterations", "1", "--format", fmt]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert bool(calls) is flattens
+    assert ("theta_sin: " in out) is (fmt == "text")
+
+
 def test_untraced_run_memory():
     # The summary is O(m) floats: the parent wrote and validated a 16 MiB state at n=20.
     argv = ["run", "--n", "20", "--marked", "1" * 20, "0" * 20, "--format", "json"]
@@ -696,8 +831,8 @@ def test_trace_renderer_matches_reference(raw, precision, bit_order, fmt, source
     steps = [(label, ops, cli._rows(amps, n, bit_order, entry)) for label, ops, amps in raw_steps]
     summary = [{"bitstring": "0" * n, "p": 1.0}]
     echo = {"source": source, "n": n, "bit_order": bit_order}
-    report = cli._report("load", echo, summary, [f"source: {source}"])
-    traced = cli._report("load", echo, summary, report.lines, trace=steps, summary=summary)
+    report = cli._report("load", echo, summary, [f"source: {source}"], [])
+    traced = cli._report("load", echo, summary, report.lines, [], steps, summary)
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         cli._emit(traced, fmt, precision)
@@ -768,8 +903,9 @@ def reference_sample_report(histogram, echo, bit_order):
     records.sort(key=lambda d: (-d["count"], d["bitstring"]))
     lines = [f"shots: {histogram.shots}", f"seed: {histogram.seed}"]
     lines += [f"{d['bitstring']}  {d['count']}" for d in records]
+    table = [["bitstring", "count"], *([d["bitstring"], d["count"]] for d in records)]
     return cli._report(
-        "sample", echo, records, lines, shots=histogram.shots, seed=histogram.seed
+        "sample", echo, records, lines, table, shots=histogram.shots, seed=histogram.seed
     )
 
 
@@ -916,6 +1052,130 @@ def test_load_table_memory_per_outcome(monkeypatch, fmt):
         tracemalloc.stop()
     assert code == 0
     assert peak / (1 << 16) < 128
+
+
+# Reference sweep and run renderers: the rounded records of each row, rendered by
+# json.dumps(indent=2), csv.writer and f-string lines. The row templates and the run summary
+# listing in cli must match them byte for byte.
+def _reference_output(doc, table, lines, fmt):
+    if fmt == "json":
+        return json.dumps(doc, indent=2) + "\n"
+    out = io.StringIO()
+    if fmt == "csv":
+        csv.writer(out, lineterminator="\n").writerows(table)
+    else:
+        print("\n".join(lines), file=out)
+    return out.getvalue()
+
+
+def _reference_doc(command, spec, iterations, style, bit_order, rows):
+    echo = {
+        "n": spec.n_qubits, "marked": [cli._oriented(b, bit_order) for b in spec.marked],
+        "iterations": iterations, "style": style, "bit_order": bit_order,
+    }
+    versions = {"tool": grover_kit.__version__, "format": cli.FORMAT_VERSION}
+    return {"command": command, "versions": versions, "spec": echo, "rows": rows}
+
+
+def reference_sweep(spec, k_max, style, bit_order, fmt, p):
+    rows = geometry.iteration_report(spec, k_max)
+    records = [
+        {key: value if key == "k" else cli._r(value, p) for key, value in vars(row).items()}
+        for row in rows
+    ]
+    fields = list(records[0])[1:]
+    widths = (p + 4, p + 6, p + 6, p + 6)
+    lines = [f"{'k':>3}  " + "  ".join(f"{f:>{w}}" for f, w in zip(fields, widths))]
+    lines += [
+        f"{row.k:>3}  " + "  ".join(f"{getattr(row, f):>{w}.{p}f}" for f, w in zip(fields, widths))
+        for row in rows
+    ]
+    table = [list(records[0]), *(list(r.values()) for r in records)]
+    doc = _reference_doc("sweep", spec, k_max, style, bit_order, records)
+    return _reference_output(doc, table, lines, fmt)
+
+
+def _reference_leaves(mapping, pattern="{}"):
+    names = {"p_per_marked": "p({})", "plane": "{}", "oblique": "{}"}
+    for key, value in mapping.items():
+        if isinstance(value, dict):
+            yield from _reference_leaves(value, names.get(key, pattern.format(key) + "_{}"))
+        else:
+            yield [pattern.format(key), value]
+
+
+def reference_run(spec, style, bit_order, fmt, p):
+    probs, coords, (c_p, c_r) = geometry.grover_summary(spec)
+    angles = grover_kit.grover_angles(spec.n_qubits, spec.n_marked)
+    per_marked = {cli._oriented(b, bit_order): cli._r(q, p) for b, q in zip(spec.marked, probs)}
+    entry = functools.partial(cli._complex_entry, precision=p)
+    summary = {
+        "p_marked_total": cli._r(sum(probs), p),
+        "p_marked_formula": cli._r(
+            grover_kit.predicted_success(spec.n_qubits, spec.n_marked, spec.iterations), p
+        ),
+        "p_per_marked": per_marked,
+        "theta_sin": cli._r(angles.theta_sin, p),
+        "theta_cos": cli._r(angles.theta_cos, p),
+        "plane": {
+            "a_marked": entry(coords.a_marked),
+            "a_unmarked": entry(coords.a_unmarked),
+            "residual_norm": cli._r(coords.residual_norm, p),
+        },
+        "angle": cli._r(geometry.plane_angle(coords), p),
+        "oblique": {"c_p": entry(c_p), "c_r": entry(c_r)},
+    }
+    scalars = ("theta_sin", "theta_cos", "p_marked_total", "p_marked_formula")
+    lines = [
+        f"n: {spec.n_qubits}",
+        f"marked: {' '.join(per_marked)}",
+        f"iterations: {spec.iterations}",
+        f"style: {style}",
+        *(cli._line(key, summary[key], p) for key in scalars),
+        *(cli._line(f"p({bits})", value, p) for bits, value in per_marked.items()),
+        *(cli._line(key, value, p) for key, value in summary["plane"].items()),
+        cli._line("angle", summary["angle"], p),
+        "oblique: " + " ".join(f"{key}={cli._fmt(z, p)}" for key, z in summary["oblique"].items()),
+    ]
+    table = [["quantity", "value"], *_reference_leaves(summary)]
+    doc = _reference_doc("run", spec, spec.iterations, style, bit_order, [summary])
+    return _reference_output(doc, table, lines, fmt)
+
+
+@st.composite
+def grover_flags(draw):
+    """(n, marked as typed, k, style, bit order, format, precision): n <= 10, any m, k <= 64."""
+    n = draw(st.integers(1, 10))
+    m = draw(st.integers(1, (1 << n) - 1))
+    indices = draw(st.randoms(use_true_random=False)).sample(range(1 << n), m)
+    k = draw(st.integers(0, 64 if n > 1 else 0))
+    return (
+        n, [format(i, f"0{n}b") for i in indices], k,
+        draw(st.sampled_from(["mcz", "mcx-ancilla"])), draw(st.sampled_from(["msb", "lsb"])),
+        draw(st.sampled_from(["text", "json", "csv"])), draw(st.integers(0, 17)),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(grover_flags(), st.sampled_from(["sweep", "run"]))
+@example((1, ["0"], 0, "mcz", "msb", "json", 0), "sweep")
+@example((3, ["001", "110"], 64, "mcx-ancilla", "lsb", "text", 17), "sweep")
+@example((2, ["01", "10", "11"], 1, "mcz", "lsb", "csv", 0), "run")
+def test_sweep_and_run_renderers_match_reference(flags, command):
+    n, marked, k, style, bit_order, fmt, precision = flags
+    argv = [command, "--n", str(n), "--marked", *marked, "--style", style,
+            "--kmax" if command == "sweep" else "--iterations", str(k),
+            "--bit-order", bit_order, "--format", fmt, "--precision", str(precision)]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    internal = tuple(cli._oriented(bits, bit_order) for bits in marked)
+    spec = grover_kit.GroverSpec(n, internal, k, cli._STYLE_FLAGS[style])
+    if command == "sweep":
+        want = reference_sweep(spec, k, style, bit_order, fmt, precision)
+    else:
+        want = reference_run(spec, style, bit_order, fmt, precision)
+    assert out.getvalue() == want
 
 
 def test_load_parse_error(capsys, tmp_path):

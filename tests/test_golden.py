@@ -110,6 +110,7 @@ def _cases() -> dict[str, tuple[list[str], str | None]]:
         "sample-marked": ["sample", "--n", "3", "--marked", "00x", "--shots", "3"],
         "dump-marked": ["dump", "--n", "3", "--marked", "00"],
         "dump-iterations": ["dump", "--n", "3", "--marked", "001", "--iterations", "-3"],
+        "dump-work": ["dump", "--n", "26", "--marked", "1" * 26, "--iterations", "1"],
         "load-missing": ["load", "--file", "no-such-file.circ"],
         "load-parse": ["load", "--file", "bad-gate.circ"],
         "load-width": ["load", "--file", "too-wide.circ"],
